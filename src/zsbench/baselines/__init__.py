@@ -1,15 +1,17 @@
-"""From-scratch traditional classifiers sharing one prediction interface.
+"""From-scratch traditional classifiers sharing one interface.
 
-Every model exposes predict_scores(feature, doc_id) returning a
-ScoredPrediction whose scores form a probability distribution over the
-schema labels.
+Every trainer takes a CSR feature matrix (one row per training document),
+the training labels, the schema and its hyperparameters. Every model
+exposes predict_proba(x) -> ndarray of shape (n, K): one probability
+distribution over the schema labels per row of x.
 """
 
 from __future__ import annotations
 
+from scipy import sparse
+
 from ..dataset import LabelSchema
-from ..features import FeatureVector
-from .common import ScoredPrediction, TrainingError
+from .common import TrainingError
 from .forest import ForestModel, train_rf
 from .knn import KnnModel, train_knn
 from .logreg import DivergenceError, LogRegModel, train_logreg
@@ -32,7 +34,7 @@ def canonical_baseline_name(name: str) -> str | None:
 
 def train_baseline(
     name: str,
-    features: list[FeatureVector],
+    x: sparse.csr_matrix,
     labels: list[str],
     schema: LabelSchema,
     **hyper,
@@ -48,11 +50,7 @@ def train_baseline(
         "dt": train_dt,
         "rf": train_rf,
     }[key]
-    return trainer(features, labels, schema, **hyper)
-
-
-def predict_scores(model, feature: FeatureVector, doc_id: int = -1) -> ScoredPrediction:
-    return model.predict_scores(feature, doc_id)
+    return trainer(x, labels, schema, **hyper)
 
 
 __all__ = [
@@ -63,11 +61,9 @@ __all__ = [
     "KnnModel",
     "LogRegModel",
     "MnbModel",
-    "ScoredPrediction",
     "TrainingError",
     "TreeModel",
     "canonical_baseline_name",
-    "predict_scores",
     "train_baseline",
     "train_dt",
     "train_knn",

@@ -1,44 +1,25 @@
-"""Shared prediction types and helpers for the from-scratch classifiers."""
+"""Shared training checks and score normalisation for the from-scratch classifiers."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from ..dataset import LabelSchema
-from ..features import FeatureVector, to_csr
 
 
 class TrainingError(ValueError):
     """Raised when training input violates a classifier's contract."""
 
 
-@dataclass(frozen=True)
-class ScoredPrediction:
-    """A probability distribution over labels plus its argmax.
+def normalize_rows(scores: np.ndarray) -> np.ndarray:
+    """Scale each row of an (n, K) score array to sum to 1.
 
-    Scores follow schema order and sum to 1; ties in the argmax resolve
-    to the earliest schema label.
+    A row whose total is zero, negative or non-finite becomes uniform.
     """
-
-    doc_id: int
-    label: str
-    scores: tuple[float, ...]
-
-
-def distribution_to_prediction(
-    scores: np.ndarray, schema: LabelSchema, doc_id: int
-) -> ScoredPrediction:
-    """Wrap a score vector as a ScoredPrediction, normalizing defensively."""
-    total = float(scores.sum())
-    if total <= 0 or not np.isfinite(total):
-        scores = np.full(len(schema), 1.0 / len(schema))
-    else:
-        scores = scores / total
-    label = schema.labels[int(np.argmax(scores))]
-    return ScoredPrediction(doc_id=doc_id, label=label, scores=tuple(scores.tolist()))
+    totals = scores.sum(axis=1, keepdims=True)
+    valid = np.isfinite(totals) & (totals > 0)
+    return np.where(valid, scores / np.where(valid, totals, 1.0), 1.0 / scores.shape[1])
 
 
 def encode_labels(labels: list[str], schema: LabelSchema) -> np.ndarray:
@@ -51,32 +32,24 @@ def encode_labels(labels: list[str], schema: LabelSchema) -> np.ndarray:
 
 
 def check_training_input(
-    features: list[FeatureVector],
+    x: sparse.csr_matrix,
     labels: list[str],
     schema: LabelSchema,
     require_all_classes: bool = False,
-) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """Validate and pack a training set.
+) -> np.ndarray:
+    """Validate a training set and return its encoded labels.
 
     `require_all_classes` is for trainers whose math needs every class
     observed (MNB priors); trees and neighbours cope with absent classes.
     """
-    if not features:
+    if x.shape[0] == 0:
         raise TrainingError("empty training set")
-    if len(features) != len(labels):
-        raise TrainingError(
-            f"{len(features)} feature vectors but {len(labels)} labels"
-        )
+    if x.shape[0] != len(labels):
+        raise TrainingError(f"{x.shape[0]} feature rows but {len(labels)} labels")
     y = encode_labels(labels, schema)
     if require_all_classes:
         present = set(y.tolist())
         missing = [lab for i, lab in enumerate(schema.labels) if i not in present]
         if missing:
             raise TrainingError(f"classes absent from training set: {missing}")
-    return to_csr(features), y
-
-
-def as_row(feature: FeatureVector, dim: int) -> sparse.csr_matrix:
-    if feature.dim != dim:
-        raise TrainingError(f"feature dimension {feature.dim} != model dimension {dim}")
-    return to_csr([feature])
+    return y

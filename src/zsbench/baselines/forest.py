@@ -7,60 +7,30 @@ parallel scheduling cannot change the result.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from ..dataset import LabelSchema
-from ..features import FeatureVector
-from .common import (
-    ScoredPrediction,
-    TrainingError,
-    check_training_input,
-    distribution_to_prediction,
-)
-from .tree import TreeNode, grow_tree, sqrt_feature_count
+from .common import TrainingError, check_training_input, normalize_rows
+from .tree import TreeNode, grow_tree, leaf_distributions, sqrt_feature_count
 
 
 class ForestModel:
     name = "rf"
 
-    def __init__(self, schema: LabelSchema, trees: list[TreeNode], seed: int, dim: int, params: dict):
+    def __init__(self, schema: LabelSchema, trees: list[TreeNode]):
         self.schema = schema
         self.trees = trees
-        self.seed = seed
-        self._dim = dim
-        self.params = params
 
-    @property
-    def dim(self) -> int:
-        return self._dim
-
-    def predict_scores(self, feature: FeatureVector, doc_id: int = -1) -> ScoredPrediction:
-        if feature.dim != self._dim:
-            raise TrainingError(f"feature dimension {feature.dim} != model dimension {self._dim}")
-        dense = feature.to_dense()
-        total = np.zeros(len(self.schema))
+    def predict_proba(self, x: sparse.csr_matrix) -> np.ndarray:
+        xd = x.toarray()
+        total = np.zeros((xd.shape[0], len(self.schema)))
         for root in self.trees:
-            node = root
-            while not node.is_leaf:
-                node = node.left if dense[node.feature] <= node.threshold else node.right
-            total += node.distribution
-        return distribution_to_prediction(total / len(self.trees), self.schema, doc_id)
-
-    def predict_all(self, features: list[FeatureVector], doc_ids=None) -> list[ScoredPrediction]:
-        doc_ids = doc_ids if doc_ids is not None else [-1] * len(features)
-        return [self.predict_scores(f, i) for f, i in zip(features, doc_ids)]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "rf",
-            "labels": list(self.schema.labels),
-            "seed": self.seed,
-            "params": self.params,
-            "trees": [t.to_json_dict() for t in self.trees],
-        }
+            total += leaf_distributions(root, xd)
+        return normalize_rows(total / len(self.trees))
 
 
 def train_rf(
-    features: list[FeatureVector],
+    x: sparse.csr_matrix,
     labels: list[str],
     schema: LabelSchema,
     n_trees: int = 100,
@@ -82,7 +52,7 @@ def train_rf(
         raise TrainingError(f"feature_subsample must be 'sqrt' or 'all', got {feature_subsample!r}")
     if max_depth < 1:
         raise TrainingError(f"max_depth must be >= 1, got {max_depth}")
-    x, y = check_training_input(features, labels, schema)
+    y = check_training_input(x, labels, schema)
     xd = x.toarray()
     n, v = xd.shape
     m = sqrt_feature_count(v) if feature_subsample == "sqrt" else v
@@ -96,12 +66,4 @@ def train_rf(
         else:
             picker = lambda ids=np.arange(v): ids
         trees.append(grow_tree(xd, y, rows, schema, max_depth, min_leaf, picker))
-
-    params = {
-        "n_trees": n_trees,
-        "max_depth": max_depth,
-        "min_leaf": min_leaf,
-        "feature_subsample": feature_subsample,
-        "bootstrap": bootstrap,
-    }
-    return ForestModel(schema, trees, seed, v, params)
+    return ForestModel(schema, trees)

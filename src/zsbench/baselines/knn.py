@@ -6,14 +6,10 @@ import numpy as np
 from scipy import sparse
 
 from ..dataset import LabelSchema
-from ..features import FeatureVector
-from .common import (
-    ScoredPrediction,
-    TrainingError,
-    as_row,
-    check_training_input,
-    distribution_to_prediction,
-)
+from .common import TrainingError, check_training_input, normalize_rows
+
+# query rows per similarity block: bounds the dense (block x n_train) array
+_BLOCK_ROWS = 64
 
 
 class KnnModel:
@@ -35,42 +31,24 @@ class KnnModel:
         nonzero = norms > 0
         self._inv_norms[nonzero] = 1.0 / norms[nonzero]
 
-    @property
-    def dim(self) -> int:
-        return self.x.shape[1]
-
-    def predict_scores(self, feature: FeatureVector, doc_id: int = -1) -> ScoredPrediction:
-        row = as_row(feature, self.dim)
-        row_norm = np.sqrt(row.multiply(row).sum())
-        sims = np.asarray((self.x @ row.T).todense()).ravel() * self._inv_norms
-        if row_norm > 0:
-            sims /= row_norm
-        else:
-            sims[:] = 0.0
-        order = np.lexsort((np.arange(len(sims)), -sims))
-        votes = np.zeros(len(self.schema))
-        for idx in order[: self.k]:
-            votes[self.y[idx]] += 1.0
-        return distribution_to_prediction(votes / self.k, self.schema, doc_id)
-
-    def predict_all(self, features: list[FeatureVector], doc_ids=None) -> list[ScoredPrediction]:
-        doc_ids = doc_ids if doc_ids is not None else [-1] * len(features)
-        return [self.predict_scores(f, i) for f, i in zip(features, doc_ids)]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "knn",
-            "k": self.k,
-            "labels": list(self.schema.labels),
-            "train_labels": self.y.tolist(),
-            "train_matrix": self.x.toarray().tolist(),
-        }
+    def predict_proba(self, x: sparse.csr_matrix) -> np.ndarray:
+        votes = np.zeros((x.shape[0], len(self.schema)))
+        for start in range(0, x.shape[0], _BLOCK_ROWS):
+            block = x[start : start + _BLOCK_ROWS]
+            norms = np.sqrt(block.multiply(block) @ np.ones(block.shape[1]))
+            sims = (self.x @ block.T).T.toarray() * self._inv_norms
+            nonzero = norms > 0
+            sims[nonzero] /= norms[nonzero, None]
+            sims[~nonzero] = 0.0
+            nearest = self.y[np.argsort(-sims, axis=1, kind="stable")[:, : self.k]]
+            rows = votes[start : start + _BLOCK_ROWS]
+            for label in range(rows.shape[1]):
+                rows[:, label] = (nearest == label).sum(axis=1)
+        return normalize_rows(votes / self.k)
 
 
-def train_knn(
-    features: list[FeatureVector], labels: list[str], schema: LabelSchema, k: int = 5
-) -> KnnModel:
-    x, y = check_training_input(features, labels, schema)
+def train_knn(x: sparse.csr_matrix, labels: list[str], schema: LabelSchema, k: int = 5) -> KnnModel:
+    y = check_training_input(x, labels, schema)
     if k < 1:
         raise TrainingError(f"k must be positive, got {k}")
     if k % 2 == 0:

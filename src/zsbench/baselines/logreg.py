@@ -3,16 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from ..dataset import LabelSchema
-from ..features import FeatureVector
-from .common import (
-    ScoredPrediction,
-    TrainingError,
-    as_row,
-    check_training_input,
-    distribution_to_prediction,
-)
+from .common import TrainingError, check_training_input, normalize_rows
 
 
 class DivergenceError(TrainingError):
@@ -59,30 +53,12 @@ class LogRegModel:
         self.bias = bias
         self.loss_history = loss_history
 
-    @property
-    def dim(self) -> int:
-        return self.weights.shape[1]
-
-    def predict_scores(self, feature: FeatureVector, doc_id: int = -1) -> ScoredPrediction:
-        x = as_row(feature, self.dim)
-        logits = (x @ self.weights.T).ravel() + self.bias
-        return distribution_to_prediction(softmax(logits), self.schema, doc_id)
-
-    def predict_all(self, features: list[FeatureVector], doc_ids=None) -> list[ScoredPrediction]:
-        doc_ids = doc_ids if doc_ids is not None else [-1] * len(features)
-        return [self.predict_scores(f, i) for f, i in zip(features, doc_ids)]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "logreg",
-            "labels": list(self.schema.labels),
-            "weights": self.weights.tolist(),
-            "bias": self.bias.tolist(),
-        }
+    def predict_proba(self, x: sparse.csr_matrix) -> np.ndarray:
+        return normalize_rows(softmax(x @ self.weights.T + self.bias))
 
 
 def train_logreg(
-    features: list[FeatureVector],
+    x: sparse.csr_matrix,
     labels: list[str],
     schema: LabelSchema,
     learning_rate: float = 0.1,
@@ -100,7 +76,7 @@ def train_logreg(
         raise TrainingError(f"learning_rate must be positive, got {learning_rate}")
     if epochs < 0:
         raise TrainingError(f"epochs must be non-negative, got {epochs}")
-    x, y = check_training_input(features, labels, schema)
+    y = check_training_input(x, labels, schema)
     k = len(schema)
     y_onehot = np.zeros((x.shape[0], k))
     y_onehot[np.arange(x.shape[0]), y] = 1.0

@@ -3,16 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from ..dataset import LabelSchema
-from ..features import FeatureVector
-from .common import (
-    ScoredPrediction,
-    TrainingError,
-    as_row,
-    check_training_input,
-    distribution_to_prediction,
-)
+from .common import TrainingError, check_training_input, normalize_rows
 
 
 class MnbModel:
@@ -20,38 +14,19 @@ class MnbModel:
 
     name = "mnb"
 
-    def __init__(self, schema: LabelSchema, log_priors: np.ndarray, log_likelihoods: np.ndarray, alpha: float):
+    def __init__(self, schema: LabelSchema, log_priors: np.ndarray, log_likelihoods: np.ndarray):
         self.schema = schema
         self.log_priors = log_priors
         self.log_likelihoods = log_likelihoods  # shape (K, V)
-        self.alpha = alpha
 
-    @property
-    def dim(self) -> int:
-        return self.log_likelihoods.shape[1]
-
-    def predict_scores(self, feature: FeatureVector, doc_id: int = -1) -> ScoredPrediction:
-        x = as_row(feature, self.dim)
-        log_post = self.log_priors + (x @ self.log_likelihoods.T).ravel()
-        log_post -= log_post.max()
-        return distribution_to_prediction(np.exp(log_post), self.schema, doc_id)
-
-    def predict_all(self, features: list[FeatureVector], doc_ids=None) -> list[ScoredPrediction]:
-        doc_ids = doc_ids if doc_ids is not None else [-1] * len(features)
-        return [self.predict_scores(f, i) for f, i in zip(features, doc_ids)]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "mnb",
-            "alpha": self.alpha,
-            "labels": list(self.schema.labels),
-            "log_priors": self.log_priors.tolist(),
-            "log_likelihoods": self.log_likelihoods.tolist(),
-        }
+    def predict_proba(self, x: sparse.csr_matrix) -> np.ndarray:
+        log_post = self.log_priors + x @ self.log_likelihoods.T
+        log_post -= log_post.max(axis=1, keepdims=True)
+        return normalize_rows(np.exp(log_post))
 
 
 def train_mnb(
-    features: list[FeatureVector],
+    x: sparse.csr_matrix,
     labels: list[str],
     schema: LabelSchema,
     alpha: float = 1.0,
@@ -63,7 +38,7 @@ def train_mnb(
     """
     if alpha <= 0:
         raise TrainingError(f"alpha must be positive, got {alpha}")
-    x, y = check_training_input(features, labels, schema, require_all_classes=True)
+    y = check_training_input(x, labels, schema, require_all_classes=True)
     n, v = x.shape
     k = len(schema)
 
@@ -74,4 +49,4 @@ def train_mnb(
         log_priors[c] = np.log(rows.shape[0] / n)
         term_sums = np.asarray(rows.sum(axis=0)).ravel()
         log_likelihoods[c] = np.log(term_sums + alpha) - np.log(term_sums.sum() + alpha * v)
-    return MnbModel(schema, log_priors, log_likelihoods, alpha)
+    return MnbModel(schema, log_priors, log_likelihoods)

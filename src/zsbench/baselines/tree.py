@@ -11,15 +11,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from ..dataset import LabelSchema
-from ..features import FeatureVector
-from .common import (
-    ScoredPrediction,
-    TrainingError,
-    check_training_input,
-    distribution_to_prediction,
-)
+from .common import TrainingError, check_training_input, normalize_rows
 
 
 @dataclass
@@ -35,16 +30,19 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.feature is None
 
-    def to_json_dict(self) -> dict:
-        out = {"n": self.n_samples, "dist": self.distribution.tolist()}
-        if not self.is_leaf:
-            out.update(
-                feature=self.feature,
-                threshold=self.threshold,
-                left=self.left.to_json_dict(),
-                right=self.right.to_json_dict(),
-            )
-        return out
+
+def leaf_distributions(root: TreeNode, xd: np.ndarray) -> np.ndarray:
+    """Distribution of the leaf each dense row lands in, one row per input row."""
+    out = np.empty((xd.shape[0], len(root.distribution)))
+    pending = [(root, np.arange(xd.shape[0]))]
+    while pending:
+        node, rows = pending.pop()
+        if node.is_leaf:
+            out[rows] = node.distribution
+            continue
+        left = xd[rows, node.feature] <= node.threshold
+        pending += [(node.left, rows[left]), (node.right, rows[~left])]
+    return out
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -143,16 +141,9 @@ def _grow(
 class TreeModel:
     name = "dt"
 
-    def __init__(self, schema: LabelSchema, root: TreeNode, max_depth: int, min_leaf: int, dim: int):
+    def __init__(self, schema: LabelSchema, root: TreeNode):
         self.schema = schema
         self.root = root
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
-        self._dim = dim
-
-    @property
-    def dim(self) -> int:
-        return self._dim
 
     def depth(self) -> int:
         def walk(node: TreeNode) -> int:
@@ -162,30 +153,8 @@ class TreeModel:
 
         return walk(self.root)
 
-    def _leaf_for(self, dense: np.ndarray) -> TreeNode:
-        node = self.root
-        while not node.is_leaf:
-            node = node.left if dense[node.feature] <= node.threshold else node.right
-        return node
-
-    def predict_scores(self, feature: FeatureVector, doc_id: int = -1) -> ScoredPrediction:
-        if feature.dim != self._dim:
-            raise TrainingError(f"feature dimension {feature.dim} != model dimension {self._dim}")
-        leaf = self._leaf_for(feature.to_dense())
-        return distribution_to_prediction(leaf.distribution.copy(), self.schema, doc_id)
-
-    def predict_all(self, features: list[FeatureVector], doc_ids=None) -> list[ScoredPrediction]:
-        doc_ids = doc_ids if doc_ids is not None else [-1] * len(features)
-        return [self.predict_scores(f, i) for f, i in zip(features, doc_ids)]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "dt",
-            "labels": list(self.schema.labels),
-            "max_depth": self.max_depth,
-            "min_leaf": self.min_leaf,
-            "root": self.root.to_json_dict(),
-        }
+    def predict_proba(self, x: sparse.csr_matrix) -> np.ndarray:
+        return normalize_rows(leaf_distributions(self.root, x.toarray()))
 
 
 def _all_features(dim: int):
@@ -207,7 +176,7 @@ def grow_tree(
 
 
 def train_dt(
-    features: list[FeatureVector],
+    x: sparse.csr_matrix,
     labels: list[str],
     schema: LabelSchema,
     max_depth: int = 32,
@@ -217,10 +186,10 @@ def train_dt(
         raise TrainingError(f"max_depth must be >= 1, got {max_depth}")
     if min_leaf < 1:
         raise TrainingError(f"min_leaf must be >= 1, got {min_leaf}")
-    x, y = check_training_input(features, labels, schema)
+    y = check_training_input(x, labels, schema)
     xd = x.toarray()
     root = grow_tree(xd, y, np.arange(xd.shape[0]), schema, max_depth, min_leaf)
-    return TreeModel(schema, root, max_depth, min_leaf, xd.shape[1])
+    return TreeModel(schema, root)
 
 
 def sqrt_feature_count(dim: int) -> int:

@@ -1,7 +1,9 @@
 """TF-IDF feature extraction: vocabulary fitting and sparse vectorization.
 
+An experiment fits one vectorizer and turns its train and test documents
+into two CSR matrices, one row per document, that every baseline shares.
 The vocabulary is built from training documents only. IDF uses the smoothed
-form ln((1 + N) / (1 + df)) + 1 and vectors are L2-normalized by default,
+form ln((1 + N) / (1 + df)) + 1 and rows are L2-normalized by default,
 so a term present in every training document still contributes weight 1
 per occurrence before normalization.
 """
@@ -10,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -19,38 +20,7 @@ from .preprocess import CleanedDocument
 
 
 class FeatureError(ValueError):
-    """Raised for unusable training input or dimension mismatches."""
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Sparse vector: strictly increasing term indices with their weights."""
-
-    dim: int
-    indices: tuple[int, ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.indices) != len(self.weights):
-            raise FeatureError("indices and weights must have equal length")
-        for prev, cur in zip(self.indices, self.indices[1:]):
-            if cur <= prev:
-                raise FeatureError("indices must be strictly increasing")
-        if self.indices and (self.indices[0] < 0 or self.indices[-1] >= self.dim):
-            raise FeatureError("index out of range")
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.weights)
-
-    def norm(self) -> float:
-        return math.sqrt(sum(w * w for w in self.weights))
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.dim)
-        if self.indices:
-            dense[list(self.indices)] = self.weights
-        return dense
+    """Raised for unusable training input."""
 
 
 class Vectorizer:
@@ -61,13 +31,10 @@ class Vectorizer:
         vocabulary: dict[str, int],
         doc_freq: dict[str, int],
         n_train_docs: int,
-        min_df: int,
         l2_normalize: bool,
     ):
         self._vocabulary = dict(vocabulary)
         self._doc_freq = dict(doc_freq)
-        self.n_train_docs = n_train_docs
-        self.min_df = min_df
         self.l2_normalize = l2_normalize
         self._idf = np.zeros(len(vocabulary))
         for term, idx in self._vocabulary.items():
@@ -89,48 +56,30 @@ class Vectorizer:
             raise KeyError(term)
         return float(self._idf[self._vocabulary[term]])
 
-    def transform(self, doc: CleanedDocument) -> FeatureVector:
-        """TF-IDF weights for one document; out-of-vocabulary tokens ignored.
+    def transform_all(self, docs: list[CleanedDocument]) -> sparse.csr_matrix:
+        """TF-IDF rows for the documents, in input order.
 
-        All-OOV or empty documents yield the zero vector.
+        Out-of-vocabulary tokens are ignored, so all-OOV or empty documents
+        yield zero rows.
         """
-        counts = Counter(t for t in doc.tokens if t in self._vocabulary)
-        if not counts:
-            return FeatureVector(dim=self.dim, indices=(), weights=())
-        pairs = sorted(
-            (self._vocabulary[term], count * self._idf[self._vocabulary[term]])
-            for term, count in counts.items()
-        )
-        indices = tuple(idx for idx, _ in pairs)
-        weights = np.array([w for _, w in pairs])
+        vocab = self._vocabulary
+        indices: list[int] = []
+        counts: list[int] = []
+        indptr = [0]
+        for doc in docs:
+            row = Counter(vocab[t] for t in doc.tokens if t in vocab)
+            cols = sorted(row)
+            indices.extend(cols)
+            counts.extend(row[c] for c in cols)
+            indptr.append(len(indices))
+        cols = np.array(indices, dtype=np.int32)
+        data = np.array(counts, dtype=float) * self._idf[cols]
         if self.l2_normalize:
-            weights = weights / np.linalg.norm(weights)
-        return FeatureVector(dim=self.dim, indices=indices, weights=tuple(weights.tolist()))
-
-    def transform_all(self, docs: list[CleanedDocument]) -> list[FeatureVector]:
-        return [self.transform(doc) for doc in docs]
-
-    def to_json_dict(self) -> dict:
-        terms = sorted(self._vocabulary, key=self._vocabulary.get)
-        return {
-            "terms": terms,
-            "doc_freq": [self._doc_freq[t] for t in terms],
-            "idf": [float(self._idf[self._vocabulary[t]]) for t in terms],
-            "n_train_docs": self.n_train_docs,
-            "min_df": self.min_df,
-            "l2_normalize": self.l2_normalize,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Vectorizer":
-        vocabulary = {term: i for i, term in enumerate(data["terms"])}
-        doc_freq = dict(zip(data["terms"], data["doc_freq"]))
-        return cls(
-            vocabulary=vocabulary,
-            doc_freq=doc_freq,
-            n_train_docs=data["n_train_docs"],
-            min_df=data["min_df"],
-            l2_normalize=data["l2_normalize"],
+            for start, end in zip(indptr, indptr[1:]):
+                if end > start:
+                    data[start:end] /= np.linalg.norm(data[start:end])
+        return sparse.csr_matrix(
+            (data, cols, np.array(indptr, dtype=np.int32)), shape=(len(docs), self.dim)
         )
 
 
@@ -160,26 +109,6 @@ def fit_vectorizer(
         vocabulary={term: i for i, term in enumerate(kept)},
         doc_freq={t: doc_freq[t] for t in kept},
         n_train_docs=len(train_docs),
-        min_df=min_df,
         l2_normalize=l2_normalize,
     )
 
-
-def to_csr(features: list[FeatureVector]) -> sparse.csr_matrix:
-    """Stack feature vectors into a CSR matrix (rows in input order)."""
-    if not features:
-        raise FeatureError("no feature vectors to stack")
-    dim = features[0].dim
-    data: list[float] = []
-    indices: list[int] = []
-    indptr = [0]
-    for fv in features:
-        if fv.dim != dim:
-            raise FeatureError(f"dimension mismatch: {fv.dim} != {dim}")
-        data.extend(fv.weights)
-        indices.extend(fv.indices)
-        indptr.append(len(data))
-    return sparse.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)),
-        shape=(len(features), dim),
-    )

@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..baselines import ScoredPrediction
 from ..dataset import Document, LabelSchema
 from .client import GatewayError, LlmRunConfig, build_request_body, complete_chat
 from .parsing import ParseDiagnostics, ParsedLabels, parse_classification
@@ -65,15 +64,6 @@ class LlmClassification:
     @property
     def invalid_ids(self) -> list[int]:
         return [i for i in self.doc_ids if i not in self.resolved]
-
-    def one_hot_predictions(self, schema: LabelSchema) -> dict[int, ScoredPrediction]:
-        """Degenerate distributions for the resolved documents."""
-        out = {}
-        for doc_id, label in self.resolved.items():
-            scores = [0.0] * len(schema)
-            scores[schema.index_of(label)] = 1.0
-            out[doc_id] = ScoredPrediction(doc_id=doc_id, label=label, scores=tuple(scores))
-        return out
 
 
 @dataclass

@@ -116,9 +116,6 @@ class HttpProvider:
         self.timeout_s = timeout_s
         self._session = session if session is not None else requests.Session()
 
-    def describe(self) -> dict:
-        return {"type": "http", "endpoint": self.endpoint}
-
     def complete(self, body: dict) -> tuple[str, dict]:
         """Returns (assistant_text, metadata). Raises ProviderError."""
         api_key = os.environ.get(self.api_key_env)

@@ -53,13 +53,6 @@ class KeywordRuleProvider:
         self.noise = noise
         self.calls = 0
 
-    def describe(self) -> dict:
-        return {
-            "type": "mock",
-            "rules": self.rules,
-            "default_label": self.default_label,
-        }
-
     def classify_text(self, text: str) -> str:
         return apply_keyword_rule(text, self.rules, self.default_label, self.schema.labels)
 
@@ -87,9 +80,6 @@ class ScriptedProvider:
         self.script = list(script)
         self.calls = 0
         self.bodies: list[dict] = []
-
-    def describe(self) -> dict:
-        return {"type": "scripted"}
 
     def complete(self, body: dict) -> tuple[str, dict]:
         self.bodies.append(body)

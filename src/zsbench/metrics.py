@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import ScoredPrediction
 from .dataset import LabelSchema
 
 
@@ -116,16 +115,8 @@ def mcc(cm: ConfusionMatrix) -> float:
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """Ranks 1..n with ties sharing their average rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def binary_auc(scores: np.ndarray, positive: np.ndarray) -> float:
@@ -141,23 +132,23 @@ def binary_auc(scores: np.ndarray, positive: np.ndarray) -> float:
 
 
 def auc_ovr_details(
-    truth: list[str], scores: list[ScoredPrediction], schema: LabelSchema
+    truth: list[str], scores: np.ndarray, schema: LabelSchema
 ) -> tuple[dict[str, float], list[str]]:
     """Per-class one-vs-rest AUCs plus the list of skipped classes.
 
-    A class is skipped when the evaluation set has no positive or no
+    `scores` has one row per document and one column per schema label. A
+    class is skipped when the evaluation set has no positive or no
     negative example for it.
     """
     if len(truth) != len(scores):
         raise MetricsError(f"length mismatch: {len(truth)} truths vs {len(scores)} scores")
-    if any(len(sp.scores) != len(schema) for sp in scores):
+    if scores.ndim != 2 or scores.shape[1] != len(schema):
         raise MetricsError("score vector length does not match schema")
     index = {label: i for i, label in enumerate(schema.labels)}
     try:
         y = np.array([index[t] for t in truth])
     except KeyError as exc:
         raise MetricsError(f"unknown true label {exc.args[0]!r}") from exc
-    score_matrix = np.array([sp.scores for sp in scores])
 
     per_class: dict[str, float] = {}
     skipped: list[str] = []
@@ -166,13 +157,11 @@ def auc_ovr_details(
         if positive.all() or not positive.any():
             skipped.append(label)
             continue
-        per_class[label] = binary_auc(score_matrix[:, i], positive)
+        per_class[label] = binary_auc(scores[:, i], positive)
     return per_class, skipped
 
 
-def auc_ovr_macro(
-    truth: list[str], scores: list[ScoredPrediction], schema: LabelSchema
-) -> float:
+def auc_ovr_macro(truth: list[str], scores: np.ndarray, schema: LabelSchema) -> float:
     """Macro average of per-class one-vs-rest AUCs."""
     per_class, skipped = auc_ovr_details(truth, scores, schema)
     if not per_class:
@@ -214,12 +203,13 @@ def build_report(
     truth: list[str],
     pred: list[str],
     schema: LabelSchema,
-    scores: list[ScoredPrediction] | None = None,
+    scores: np.ndarray | None = None,
     n_invalid: int = 0,
 ) -> EvalReport:
     """Assemble the full report; AUC is present only when scores are given.
 
-    Label-only predictors pass scores=None and get auc=None.
+    `scores` is a predictor's (n, K) probability array. Label-only
+    predictors pass scores=None and get auc=None.
     """
     cm = confusion_matrix(truth, pred, schema)
     auc = None

@@ -1,8 +1,10 @@
 """Config-driven experiment runner.
 
 One experiment = one dataset, one shared stratified split, and a roster of
-predictors. Baselines consume preprocessed TF-IDF features; LLM predictors
-consume raw text by default (optionally cleaned, or both for an ablation).
+predictors. The split is preprocessed and vectorized once, and every
+baseline trains and predicts on the same pair of TF-IDF matrices; LLM
+predictors consume raw text by default (optionally cleaned, or both for an
+ablation).
 Every predictor is evaluated on the identical test documents, and all
 artifacts land in a per-run directory.
 """
@@ -406,32 +408,38 @@ def _evaluate_llm_run(outcome, docs: list[Document], schema: LabelSchema) -> Eva
     return build_report(truth, pred, schema, scores=None, n_invalid=n_invalid)
 
 
-def _run_baseline(
-    spec: BaselineSpec,
-    train: LabeledCorpus,
-    test: LabeledCorpus,
-    config: ExperimentConfig,
-) -> PredictorResult:
-    result = PredictorResult(name=spec.name, category="baseline")
+def _build_features(train: LabeledCorpus, test: LabeledCorpus, config: ExperimentConfig):
+    """The shared TF-IDF pass: (train matrix, test matrix, diagnostics), one
+    matrix row per document."""
     train_docs, n_empty_train = preprocess_corpus(train, config.cleaning)
     test_docs, n_empty_test = preprocess_corpus(test, config.cleaning)
     vectorizer = fit_vectorizer(
         train_docs, min_df=config.min_df, l2_normalize=config.l2_normalize
     )
-    x_train = vectorizer.transform_all(train_docs)
-    x_test = vectorizer.transform_all(test_docs)
-    labels = [doc.gold_label for doc in train.documents]
-    model = train_baseline(spec.kind, x_train, labels, train.schema, **spec.hyper)
-    predictions = model.predict_all(x_test, [doc.id for doc in test.documents])
-    truth = [doc.gold_label for doc in test.documents]
-    pred = [p.label for p in predictions]
-    result.report = build_report(truth, pred, test.schema, scores=predictions)
-    result.diagnostics = {
+    diagnostics = {
         "vocabulary_size": vectorizer.dim,
         "empty_after_cleaning": {"train": n_empty_train, "test": n_empty_test},
-        "evaluated_doc_ids": [doc.id for doc in test.documents],
     }
-    return result
+    return vectorizer.transform_all(train_docs), vectorizer.transform_all(test_docs), diagnostics
+
+
+def _run_baseline(
+    spec: BaselineSpec, train: LabeledCorpus, test: LabeledCorpus, x_train, x_test, diagnostics
+) -> PredictorResult:
+    labels = [doc.gold_label for doc in train.documents]
+    model = train_baseline(spec.kind, x_train, labels, train.schema, **spec.hyper)
+    proba = model.predict_proba(x_test)
+    truth = [doc.gold_label for doc in test.documents]
+    pred = [test.schema.labels[i] for i in proba.argmax(axis=1)]
+    return PredictorResult(
+        name=spec.name,
+        category="baseline",
+        report=build_report(truth, pred, test.schema, scores=proba),
+        diagnostics={
+            **diagnostics,
+            "evaluated_doc_ids": [doc.id for doc in test.documents],
+        },
+    )
 
 
 def _run_llm_variant(
@@ -519,6 +527,14 @@ def run_experiment(config: ExperimentConfig, run_id: str | None = None) -> Exper
         test_ids=sorted(doc.id for doc in test.documents),
     )
 
+    # built once for all baselines; a failure here is recorded on each of them
+    features = None
+    if any(isinstance(spec, BaselineSpec) for spec in config.predictors):
+        try:
+            features = _build_features(train, test, config)
+        except Exception as exc:  # noqa: BLE001 - re-raised per baseline below
+            features = exc
+
     for spec in config.predictors:
         if isinstance(spec, BaselineSpec):
             entries = [(spec.name, None)]
@@ -527,7 +543,9 @@ def run_experiment(config: ExperimentConfig, run_id: str | None = None) -> Exper
         for entry_name, variant in entries:
             try:
                 if isinstance(spec, BaselineSpec):
-                    res = _run_baseline(spec, train, test, config)
+                    if isinstance(features, Exception):
+                        raise features
+                    res = _run_baseline(spec, train, test, *features)
                 else:
                     res = _run_llm_variant(spec, variant, test, config, run_dir, entry_name)
             except Exception as exc:  # noqa: BLE001 - crash isolation per predictor

@@ -16,7 +16,8 @@ from importlib import resources
 from .dataset import LabeledCorpus
 from .porter import stem
 
-_URL_RE = re.compile(r"(?:https?://|www\.)\S+|\bt\.co/\S+", re.IGNORECASE)
+# t.co links may follow digits: digit removal would expose them to a second pass
+_URL_RE = re.compile(r"(?:https?://|www\.)\S+|(?<![^\W\d])t\.co/\S+", re.IGNORECASE)
 _HTML_TAG_RE = re.compile(r"<[^<>]*>")
 _MENTION_RE = re.compile(r"@\w+")
 _HASHTAG_RE = re.compile(r"#\w+")
@@ -88,7 +89,9 @@ def clean_text(text: str, policy: CleaningPolicy) -> str:
     if policy.remove_urls:
         text = _URL_RE.sub(" ", text)
     if policy.remove_html_tags:
-        text = _HTML_TAG_RE.sub(" ", text)
+        # removing an inner tag can expose an outer one, as in "<<b>>"
+        while (stripped := _HTML_TAG_RE.sub(" ", text)) != text:
+            text = stripped
     if policy.remove_mentions:
         text = _MENTION_RE.sub(" ", text)
     if policy.remove_hashtags:

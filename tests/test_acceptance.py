@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from conftest import (
     FIXTURE_DEFAULT_LABEL,
@@ -28,7 +29,6 @@ from conftest import (
 from zsbench.baselines import train_mnb
 from zsbench.baselines.logreg import _grads, _loss
 from zsbench.dataset import LabelSchema, load_corpus, stratified_split
-from zsbench.features import FeatureVector
 from zsbench.gateway import ECOMMERCE_TASK, ParsedLabels, build_instruction, parse_classification
 from zsbench.metrics import ConfusionMatrix, binary_auc, macro_f1, mcc
 from zsbench.orchestrator import run_experiment, validate_config
@@ -55,13 +55,8 @@ def criterion(number: int, description: str):
     return decorate
 
 
-def fv(weights) -> FeatureVector:
-    pairs = [(i, float(w)) for i, w in enumerate(weights) if w]
-    return FeatureVector(
-        dim=len(weights),
-        indices=tuple(i for i, _ in pairs),
-        weights=tuple(w for _, w in pairs),
-    )
+def csr(rows) -> sparse.csr_matrix:
+    return sparse.csr_matrix(np.array(rows, dtype=float))
 
 
 @criterion(1, "metric oracle suite")
@@ -121,9 +116,10 @@ def test_criterion_2_mnb_exhaustive():
                 for labels in itertools.product(("a", "b"), repeat=n_docs):
                     if len(set(labels)) < 2:
                         continue
-                    model = train_mnb([fv(r) for r in rows], list(labels), schema, alpha=1.0)
+                    model = train_mnb(csr(rows), list(labels), schema, alpha=1.0)
                     v = n_terms
-                    for query in queries_by_dim[n_terms]:
+                    queries = queries_by_dim[n_terms]
+                    for query, got in zip(queries, model.predict_proba(csr(queries))):
                         posts = []
                         for label in ("a", "b"):
                             class_rows = [r for r, y in zip(rows, labels) if y == label]
@@ -136,7 +132,6 @@ def test_criterion_2_mnb_exhaustive():
                             posts.append(value)
                         total = posts[0] + posts[1]
                         expected = (posts[0] / total, posts[1] / total)
-                        got = model.predict_scores(fv(query)).scores
                         assert abs(got[0] - expected[0]) <= 1e-12
                         assert abs(got[1] - expected[1]) <= 1e-12
                     n_cases += 1

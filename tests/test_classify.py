@@ -139,19 +139,6 @@ class TestReAskAndFallback:
             classify_corpus(docs, ecommerce_schema, ECOMMERCE_TASK, config, provider)
 
 
-class TestOneHotPredictions:
-    def test_degenerate_distributions(self, ecommerce_schema):
-        docs = make_docs(["usb hub", "a novel"])
-        provider = KeywordRuleProvider(ecommerce_schema, FIXTURE_RULES, FIXTURE_DEFAULT_LABEL)
-        outcome = classify_corpus(
-            docs, ecommerce_schema, ECOMMERCE_TASK, LlmRunConfig(model="m", **FAST), provider
-        )
-        preds = outcome.one_hot_predictions(ecommerce_schema)
-        assert preds[0].scores == (0.0, 0.0, 0.0, 1.0)
-        assert preds[0].label == "Electronics"
-        assert sum(preds[1].scores) == 1.0
-
-
 class TestAuditLog:
     def test_replay_reproduces_parses(self, tmp_path, ecommerce_schema):
         docs = make_docs([f"item {i} usb" for i in range(7)])

@@ -7,18 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zsbench.features import (
-    FeatureError,
-    FeatureVector,
-    Vectorizer,
-    fit_vectorizer,
-    to_csr,
-)
+from zsbench.features import FeatureError, fit_vectorizer
 from zsbench.preprocess import CleanedDocument
 
 
 def docs_from(token_lists) -> list[CleanedDocument]:
     return [CleanedDocument(id=i, tokens=tuple(t)) for i, t in enumerate(token_lists)]
+
+
+def transform_one(vectorizer, tokens) -> dict[int, float]:
+    """The single row of transform_all([doc]) as {column: weight}."""
+    row = vectorizer.transform_all([CleanedDocument(0, tuple(tokens))])
+    assert row.shape == (1, vectorizer.dim)
+    return dict(zip(row.indices.tolist(), row.data.tolist()))
 
 
 class TestFitVectorizer:
@@ -52,27 +53,23 @@ class TestFitVectorizer:
 class TestTransform:
     def test_repeated_token_normalizes_to_one(self):
         v = fit_vectorizer(docs_from([["spam", "win"], ["ham"]]), min_df=1)
-        fv = v.transform(CleanedDocument(9, ("spam", "spam")))
-        assert fv.indices == (v.vocabulary["spam"],)
-        assert fv.weights[0] == pytest.approx(1.0, abs=1e-12)
+        row = transform_one(v, ("spam", "spam"))
+        assert list(row) == [v.vocabulary["spam"]]
+        assert row[v.vocabulary["spam"]] == pytest.approx(1.0, abs=1e-12)
 
     def test_oov_only_gives_zero_vector(self):
         v = fit_vectorizer(docs_from([["spam"], ["spam", "ham"]]), min_df=1)
-        fv = v.transform(CleanedDocument(0, ("unseen", "tokens")))
-        assert fv.is_zero
-        assert fv.indices == ()
+        assert transform_one(v, ("unseen", "tokens")) == {}
 
     def test_empty_doc_gives_zero_vector(self):
         v = fit_vectorizer(docs_from([["spam"], ["ham"]]), min_df=1)
-        assert v.transform(CleanedDocument(0, ())).is_zero
+        assert transform_one(v, ()) == {}
 
     def test_weights_without_normalization(self):
         v = fit_vectorizer(docs_from([["spam", "win"], ["ham"]]), min_df=1, l2_normalize=False)
-        fv = v.transform(CleanedDocument(0, ("spam", "spam", "win")))
+        row = transform_one(v, ("spam", "spam", "win"))
         expected_spam = 2 * (math.log(3 / 2) + 1)
-        assert dict(zip(fv.indices, fv.weights))[v.vocabulary["spam"]] == pytest.approx(
-            expected_spam, abs=1e-12
-        )
+        assert row[v.vocabulary["spam"]] == pytest.approx(expected_spam, abs=1e-12)
 
     def test_hand_computed_five_doc_table(self):
         # oracle: tf-idf computed from first principles, frozen below
@@ -87,8 +84,7 @@ class TestTransform:
         df = {"win": 2, "cash": 2, "now": 3, "prize": 2, "meeting": 2, "tomorrow": 1}
         v = fit_vectorizer(docs_from(corpus), min_df=1, l2_normalize=False)
         for doc_tokens in corpus:
-            fv = v.transform(CleanedDocument(0, tuple(doc_tokens)))
-            got = dict(zip(fv.indices, fv.weights))
+            got = transform_one(v, doc_tokens)
             for term in set(doc_tokens):
                 idf = math.log((1 + n) / (1 + df[term])) + 1
                 expected = doc_tokens.count(term) * idf
@@ -96,9 +92,11 @@ class TestTransform:
 
     def test_transform_does_not_mutate_vocabulary(self):
         v = fit_vectorizer(docs_from([["spam"], ["spam", "ham"]]), min_df=1)
-        before = v.to_json_dict()
-        v.transform(CleanedDocument(0, ("new", "words", "spam")))
-        assert v.to_json_dict() == before
+        vocabulary = v.vocabulary
+        idf = {term: v.idf(term) for term in vocabulary}
+        transform_one(v, ("new", "words", "spam"))
+        assert v.vocabulary == vocabulary
+        assert {term: v.idf(term) for term in vocabulary} == idf
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -111,34 +109,30 @@ class TestTransform:
     )
     def test_nonzero_vectors_have_unit_norm(self, tokens):
         v = fit_vectorizer(docs_from([["a", "b"], ["b", "c"], ["a", "c"]]), min_df=1)
-        fv = v.transform(CleanedDocument(0, tuple(tokens)))
-        if not fv.is_zero:
-            assert fv.norm() == pytest.approx(1.0, abs=1e-9)
+        row = transform_one(v, tokens)
+        if row:
+            assert math.sqrt(sum(w * w for w in row.values())) == pytest.approx(1.0, abs=1e-9)
 
 
-class TestFeatureVector:
-    def test_indices_must_increase(self):
-        with pytest.raises(FeatureError, match="strictly increasing"):
-            FeatureVector(dim=4, indices=(2, 1), weights=(0.5, 0.5))
-
-    def test_index_range_checked(self):
-        with pytest.raises(FeatureError, match="out of range"):
-            FeatureVector(dim=2, indices=(0, 5), weights=(0.5, 0.5))
-
-    def test_to_csr_stacks_rows(self):
-        fvs = [
-            FeatureVector(dim=3, indices=(0, 2), weights=(1.0, 2.0)),
-            FeatureVector(dim=3, indices=(), weights=()),
-        ]
-        m = to_csr(fvs)
-        assert m.shape == (2, 3)
-        assert np.allclose(m.toarray(), [[1.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
-
-
-class TestSerialization:
-    def test_round_trip(self):
+    def test_transform_all_stacks_rows_in_input_order(self):
         v = fit_vectorizer(docs_from([["spam", "win"], ["ham", "win"]]), min_df=1)
-        v2 = Vectorizer.from_json_dict(v.to_json_dict())
-        assert v2.to_json_dict() == v.to_json_dict()
-        doc = CleanedDocument(0, ("win", "ham"))
-        assert v2.transform(doc) == v.transform(doc)
+        docs = docs_from([["win", "ham"], [], ["unseen"], ["spam"]])
+        m = v.transform_all(docs)
+        assert m.shape == (4, v.dim)
+        for i, doc in enumerate(docs):
+            assert np.array_equal(m[i].toarray(), v.transform_all([doc]).toarray())
+        assert m[1].nnz == m[2].nnz == 0
+        assert m[3, v.vocabulary["spam"]] == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        docs=st.lists(st.lists(st.sampled_from("abcdefgh"), max_size=10), max_size=8)
+    )
+    def test_row_indices_strictly_increase_within_range(self, docs):
+        v = fit_vectorizer(docs_from([list("abcd"), list("cdef"), list("a")]), min_df=1)
+        m = v.transform_all(docs_from(docs))
+        assert m.shape == (len(docs), v.dim)
+        for start, end in zip(m.indptr, m.indptr[1:]):
+            cols = m.indices[start:end]
+            assert (np.diff(cols) > 0).all()
+            assert ((cols >= 0) & (cols < v.dim)).all()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from zsbench.baselines import (
     TrainingError,
@@ -14,23 +15,35 @@ from zsbench.baselines import (
     train_rf,
 )
 from zsbench.dataset import LabelSchema
-from zsbench.features import FeatureVector
 
 SCHEMA = LabelSchema("t", ["a", "b"])
 SCHEMA3 = LabelSchema("t3", ["a", "b", "c"])
 
 
-def fv(weights) -> FeatureVector:
-    pairs = [(i, float(w)) for i, w in enumerate(weights) if w]
-    return FeatureVector(
-        dim=len(weights),
-        indices=tuple(i for i, _ in pairs),
-        weights=tuple(w for _, w in pairs),
+def csr(rows) -> sparse.csr_matrix:
+    return sparse.csr_matrix(np.array(rows, dtype=float))
+
+
+def predicted_labels(model, x) -> list[str]:
+    return [model.schema.labels[i] for i in model.predict_proba(x).argmax(axis=1)]
+
+
+def tree_structure(node) -> tuple:
+    """Nested (feature, threshold, n_samples, distribution, left, right) of a tree."""
+    if node.is_leaf:
+        return (None, None, node.n_samples, tuple(node.distribution.tolist()))
+    return (
+        node.feature,
+        node.threshold,
+        node.n_samples,
+        tuple(node.distribution.tolist()),
+        tree_structure(node.left),
+        tree_structure(node.right),
     )
 
 
 def random_dataset(rng, n, dim, labels):
-    features = [fv(rng.random(dim).round(2)) for _ in range(n)]
+    features = csr([rng.random(dim).round(2) for _ in range(n)])
     y = [labels[rng.integers(0, len(labels))] for _ in range(n)]
     # ensure every class appears
     for i, lab in enumerate(labels):
@@ -40,57 +53,74 @@ def random_dataset(rng, n, dim, labels):
 
 class TestKnn:
     def test_k1_returns_own_label(self):
-        features = [fv([1, 0]), fv([0, 1])]
+        features = csr([[1, 0], [0, 1]])
         model = train_knn(features, ["a", "b"], SCHEMA, k=1)
-        assert model.predict_scores(features[0]).label == "a"
-        assert model.predict_scores(features[1]).label == "b"
+        assert predicted_labels(model, features) == ["a", "b"]
 
     def test_vote_fractions(self):
-        features = [fv([1, 0]), fv([0.9, 0.1]), fv([0, 1])]
+        features = csr([[1, 0], [0.9, 0.1], [0, 1]])
         model = train_knn(features, ["a", "a", "b"], SCHEMA, k=3)
-        pred = model.predict_scores(fv([1, 0]))
-        assert pred.scores == pytest.approx((2 / 3, 1 / 3), abs=1e-12)
+        proba = model.predict_proba(csr([[1, 0]]))
+        assert proba[0] == pytest.approx((2 / 3, 1 / 3), abs=1e-12)
 
     def test_k_bounded_by_training_size(self):
         with pytest.raises(TrainingError, match="exceeds"):
-            train_knn([fv([1]), fv([1])], ["a", "b"], SCHEMA, k=3)
+            train_knn(csr([[1], [1]]), ["a", "b"], SCHEMA, k=3)
 
     def test_k_must_be_odd(self):
-        features = [fv([1, 0]), fv([0, 1]), fv([1, 1]), fv([0.5, 1])]
+        features = csr([[1, 0], [0, 1], [1, 1], [0.5, 1]])
         with pytest.raises(TrainingError, match="odd"):
             train_knn(features, ["a", "b", "a", "b"], SCHEMA, k=2)
 
     def test_zero_vector_query_still_valid_distribution(self):
-        features = [fv([1, 0]), fv([0, 1]), fv([1, 1])]
+        features = csr([[1, 0], [0, 1], [1, 1]])
         model = train_knn(features, ["a", "b", "a"], SCHEMA, k=3)
-        pred = model.predict_scores(fv([0, 0]))
-        assert sum(pred.scores) == pytest.approx(1.0, abs=1e-9)
+        proba = model.predict_proba(csr([[0, 0]]))
+        assert proba[0].sum() == pytest.approx(1.0, abs=1e-9)
+
+
+    def test_blocked_prediction_matches_row_by_row_reference(self):
+        # small integer weights: dot products are exact and similarity ties common
+        rng = np.random.default_rng(5)
+        train = rng.integers(0, 3, size=(40, 6)).astype(float)
+        y = rng.integers(0, 3, size=40)
+        queries = rng.integers(0, 3, size=(150, 6)).astype(float)  # several query blocks
+        model = train_knn(csr(train), [SCHEMA3.labels[i] for i in y], SCHEMA3, k=5)
+
+        norms = np.sqrt((train * train).sum(axis=1))
+        inv_norms = np.array([1.0 / n if n > 0 else 0.0 for n in norms])
+        expected = np.zeros((len(queries), 3))
+        for i, q in enumerate(queries):
+            q_norm = np.sqrt((q * q).sum())
+            sims = (train @ q) * inv_norms / q_norm if q_norm > 0 else np.zeros(len(train))
+            for j in sorted(range(len(train)), key=lambda j: (-sims[j], j))[:5]:
+                expected[i, y[j]] += 1 / 5
+        assert model.predict_proba(csr(queries)) == pytest.approx(expected, abs=1e-12)
 
 
 class TestDecisionTree:
     def test_pure_input_single_leaf(self):
-        features = [fv([1, 0]), fv([0.5, 0.5])]
+        features = csr([[1, 0], [0.5, 0.5]])
         model = train_dt(features, ["a", "a"], SCHEMA)
         assert model.depth() == 0
         assert model.root.is_leaf
-        pred = model.predict_scores(fv([0.7, 0.7]))
-        assert pred.label == "a"
-        assert pred.scores == pytest.approx((1.0, 0.0), abs=1e-12)
+        query = csr([[0.7, 0.7]])
+        assert predicted_labels(model, query) == ["a"]
+        assert model.predict_proba(query)[0] == pytest.approx((1.0, 0.0), abs=1e-12)
 
     def test_depth_zero_on_uninformative_labels(self):
         # all classes present but features identical: no split improves gini
-        features = [fv([1, 0]), fv([1, 0])]
+        features = csr([[1, 0], [1, 0]])
         model = train_dt(features, ["a", "b"], SCHEMA)
         assert model.depth() == 0
-        pred = model.predict_scores(fv([1, 0]))
-        assert pred.scores == pytest.approx((0.5, 0.5), abs=1e-12)
+        proba = model.predict_proba(csr([[1, 0]]))
+        assert proba[0] == pytest.approx((0.5, 0.5), abs=1e-12)
 
     def test_separable_data_learned_exactly(self):
-        features = [fv([0.1, 0]), fv([0.2, 0]), fv([0.8, 0]), fv([0.9, 0])]
+        features = csr([[0.1, 0], [0.2, 0], [0.8, 0], [0.9, 0]])
         labels = ["a", "a", "b", "b"]
         model = train_dt(features, labels, SCHEMA)
-        for f, lab in zip(features, labels):
-            assert model.predict_scores(f).label == lab
+        assert predicted_labels(model, features) == labels
 
     def test_max_depth_respected(self):
         rng = np.random.default_rng(0)
@@ -113,7 +143,7 @@ class TestDecisionTree:
         check(model.root)
 
     def test_invalid_params(self):
-        features = [fv([1]), fv([0])]
+        features = csr([[1], [0]])
         with pytest.raises(TrainingError, match="max_depth"):
             train_dt(features, ["a", "b"], SCHEMA, max_depth=0)
 
@@ -134,28 +164,25 @@ class TestRandomForest:
                 seed=trial,
             )
             queries, _ = random_dataset(rng, 10, 5, ["a", "b", "c"])
-            for q in queries:
-                assert rf.predict_scores(q).scores == pytest.approx(
-                    dt.predict_scores(q).scores, abs=1e-12
-                )
+            assert rf.predict_proba(queries) == pytest.approx(dt.predict_proba(queries), abs=1e-12)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(3)
         features, labels = random_dataset(rng, 30, 6, ["a", "b"])
         m1 = train_rf(features, labels, SCHEMA, n_trees=8, seed=11)
         m2 = train_rf(features, labels, SCHEMA, n_trees=8, seed=11)
-        assert m1.to_json_dict() == m2.to_json_dict()
+        assert [tree_structure(t) for t in m1.trees] == [tree_structure(t) for t in m2.trees]
 
     def test_seed_changes_forest(self):
         rng = np.random.default_rng(4)
         features, labels = random_dataset(rng, 30, 6, ["a", "b"])
         m1 = train_rf(features, labels, SCHEMA, n_trees=8, seed=1)
         m2 = train_rf(features, labels, SCHEMA, n_trees=8, seed=2)
-        assert m1.to_json_dict() != m2.to_json_dict()
+        assert [tree_structure(t) for t in m1.trees] != [tree_structure(t) for t in m2.trees]
 
     def test_rejects_bad_subsample_mode(self):
         with pytest.raises(TrainingError, match="feature_subsample"):
-            train_rf([fv([1]), fv([0])], ["a", "b"], SCHEMA, feature_subsample="log2")
+            train_rf(csr([[1], [0]]), ["a", "b"], SCHEMA, feature_subsample="log2")
 
 
 @settings(max_examples=40, deadline=None)
@@ -181,11 +208,8 @@ def test_all_predictors_emit_distributions(seed, trainer):
         "rf": train_rf,
     }[trainer]
     model = train(features, labels, SCHEMA3, **kwargs)
-    queries = [fv([0, 0, 0, 0]), fv(rng.random(4)), features[0]]
-    for q in queries:
-        pred = model.predict_scores(q, doc_id=5)
-        assert pred.doc_id == 5
-        assert len(pred.scores) == 3
-        assert all(s >= 0 for s in pred.scores)
-        assert sum(pred.scores) == pytest.approx(1.0, abs=1e-9)
-        assert pred.label in SCHEMA3.labels
+    queries = sparse.vstack([csr([[0, 0, 0, 0], rng.random(4)]), features[0]], format="csr")
+    proba = model.predict_proba(queries)
+    assert proba.shape == (3, 3)
+    assert (proba >= 0).all()
+    assert proba.sum(axis=1) == pytest.approx(np.ones(3), abs=1e-9)

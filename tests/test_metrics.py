@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zsbench.baselines import ScoredPrediction
 from zsbench.dataset import LabelSchema
 from zsbench.metrics import (
     ConfusionMatrix,
@@ -135,19 +134,15 @@ class TestAuc:
     def test_macro_ovr_with_skipped_class(self):
         schema = LabelSchema("t3", ["a", "b", "c"])
         truth = ["a", "a", "b"]
-        preds = [
-            ScoredPrediction(0, "a", (0.8, 0.1, 0.1)),
-            ScoredPrediction(1, "a", (0.6, 0.3, 0.1)),
-            ScoredPrediction(2, "b", (0.2, 0.7, 0.1)),
-        ]
+        scores = np.array([(0.8, 0.1, 0.1), (0.6, 0.3, 0.1), (0.2, 0.7, 0.1)])
         # class c has no positives: skipped, macro over a and b only
-        assert auc_ovr_macro(truth, preds, schema) == pytest.approx(1.0)
+        assert auc_ovr_macro(truth, scores, schema) == pytest.approx(1.0)
 
     def test_all_classes_skipped_is_error(self):
         truth = ["a", "a"]
-        preds = [ScoredPrediction(0, "a", (1.0, 0.0)), ScoredPrediction(1, "a", (1.0, 0.0))]
+        scores = np.array([(1.0, 0.0), (1.0, 0.0)])
         with pytest.raises(MetricsError, match="skipped"):
-            auc_ovr_macro(truth, preds, AB)
+            auc_ovr_macro(truth, scores, AB)
 
     def test_mann_whitney_equals_brute_force_on_random_sets(self):
         rng = random.Random(4242)
@@ -165,20 +160,20 @@ class TestAuc:
         schema = LabelSchema("t3", ["a", "b", "c"])
         truth = [rng.choice(schema.labels) for _ in range(30)]
         truth[:3] = ["a", "b", "c"]
-        preds = []
-        for i in range(30):
+        scores = []
+        for _ in range(30):
             raw = [rng.random() for _ in range(3)]
             total = sum(raw)
-            scores = tuple(x / total for x in raw)
-            preds.append(ScoredPrediction(i, schema.labels[int(np.argmax(scores))], scores))
-        base_auc = auc_ovr_macro(truth, preds, schema)
-        base_cm = confusion_matrix(truth, [p.label for p in preds], schema)
+            scores.append([x / total for x in raw])
+        scores = np.array(scores)
+        pred = [schema.labels[i] for i in scores.argmax(axis=1)]
+        base_auc = auc_ovr_macro(truth, scores, schema)
+        base_cm = confusion_matrix(truth, pred, schema)
         order = list(range(30))
         rng.shuffle(order)
         truth2 = [truth[i] for i in order]
-        preds2 = [preds[i] for i in order]
-        assert auc_ovr_macro(truth2, preds2, schema) == pytest.approx(base_auc, abs=1e-12)
-        cm2 = confusion_matrix(truth2, [p.label for p in preds2], schema)
+        assert auc_ovr_macro(truth2, scores[order], schema) == pytest.approx(base_auc, abs=1e-12)
+        cm2 = confusion_matrix(truth2, [pred[i] for i in order], schema)
         assert cm2.counts == base_cm.counts
         assert mcc(cm2) == pytest.approx(mcc(base_cm), abs=1e-12)
 
@@ -190,11 +185,8 @@ class TestBuildReport:
         assert report.acc == 1.0
 
     def test_report_with_scores_has_auc(self):
-        preds = [
-            ScoredPrediction(0, "a", (0.9, 0.1)),
-            ScoredPrediction(1, "b", (0.2, 0.8)),
-        ]
-        report = build_report(["a", "b"], [p.label for p in preds], AB, scores=preds)
+        scores = np.array([(0.9, 0.1), (0.2, 0.8)])
+        report = build_report(["a", "b"], ["a", "b"], AB, scores=scores)
         assert report.auc == pytest.approx(1.0)
 
     def test_json_round_trip_shape(self):

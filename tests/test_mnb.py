@@ -5,19 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from zsbench.baselines import TrainingError, train_mnb
 from zsbench.dataset import LabelSchema
-from zsbench.features import FeatureVector
 
 
-def fv(weights) -> FeatureVector:
-    pairs = [(i, w) for i, w in enumerate(weights) if w]
-    return FeatureVector(
-        dim=len(weights),
-        indices=tuple(i for i, _ in pairs),
-        weights=tuple(float(w) for _, w in pairs),
-    )
+def csr(rows) -> sparse.csr_matrix:
+    return sparse.csr_matrix(np.array(rows, dtype=float))
 
 
 def brute_force_posterior(train_x, train_y, labels, alpha, query):
@@ -44,7 +39,7 @@ class TestTrainMnb:
     def test_hand_computed_likelihood(self):
         # two docs, raw counts as weights: P(win|spam) = (2+1)/(2+3) = 0.6
         model = train_mnb(
-            [fv([2, 0, 0]), fv([0, 1, 0])], ["spam", "ham"], self.schema, alpha=1.0
+            csr([[2, 0, 0], [0, 1, 0]]), ["spam", "ham"], self.schema, alpha=1.0
         )
         win_idx = 0
         assert math.exp(model.log_likelihoods[0, win_idx]) == pytest.approx(0.6, abs=1e-12)
@@ -52,29 +47,30 @@ class TestTrainMnb:
 
     def test_huge_alpha_flattens_likelihoods(self):
         model = train_mnb(
-            [fv([5, 0, 0]), fv([0, 3, 1])], ["spam", "ham"], self.schema, alpha=1e9
+            csr([[5, 0, 0], [0, 3, 1]]), ["spam", "ham"], self.schema, alpha=1e9
         )
         expected = 1.0 / 3.0
         assert np.allclose(np.exp(model.log_likelihoods), expected, atol=1e-3)
 
     def test_single_class_rejected(self):
         with pytest.raises(TrainingError, match="absent"):
-            train_mnb([fv([1, 0]), fv([0, 1])], ["spam", "spam"], self.schema)
+            train_mnb(csr([[1, 0], [0, 1]]), ["spam", "spam"], self.schema)
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(TrainingError, match="alpha"):
-            train_mnb([fv([1]), fv([1])], ["spam", "ham"], self.schema, alpha=0.0)
+            train_mnb(csr([[1], [1]]), ["spam", "ham"], self.schema, alpha=0.0)
 
     def test_posterior_matches_bayes_by_hand(self):
         # docs {["win","win"] -> spam, ["hello"] -> ham}, query ["win"]
         model = train_mnb(
-            [fv([2, 0]), fv([0, 1])], ["spam", "ham"], self.schema, alpha=1.0
+            csr([[2, 0], [0, 1]]), ["spam", "ham"], self.schema, alpha=1.0
         )
-        pred = model.predict_scores(fv([1, 0]))
+        proba = model.predict_proba(csr([[1, 0]]))
+        assert proba.shape == (1, 2)
         # P(spam|win) ~ 0.5 * 3/4 ; P(ham|win) ~ 0.5 * 1/3
         expected_spam = (0.5 * (3 / 4)) / (0.5 * (3 / 4) + 0.5 * (1 / 3))
-        assert pred.scores[0] == pytest.approx(expected_spam, abs=1e-12)
-        assert pred.label == "spam"
+        assert proba[0, 0] == pytest.approx(expected_spam, abs=1e-12)
+        assert self.schema.labels[proba[0].argmax()] == "spam"
 
 
 def enumerate_corpora():
@@ -102,10 +98,10 @@ class TestBruteForceEquivalence:
         n_cases = 0
         for rows, labels in enumerate_corpora():
             alpha = 1.0
-            model = train_mnb([fv(r) for r in rows], list(labels), schema, alpha=alpha)
-            for query in queries_by_dim[len(rows[0])]:
+            model = train_mnb(csr(rows), list(labels), schema, alpha=alpha)
+            queries = queries_by_dim[len(rows[0])]
+            for query, got in zip(queries, model.predict_proba(csr(queries))):
                 expected = brute_force_posterior(rows, labels, ("a", "b"), alpha, query)
-                got = model.predict_scores(fv(query)).scores
                 assert got[0] == pytest.approx(expected[0], abs=1e-12)
                 assert got[1] == pytest.approx(expected[1], abs=1e-12)
             n_cases += 1

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from conftest import fixture_experiment_config, mock_llm_predictor
+from zsbench import orchestrator
 from zsbench.orchestrator import (
     ConfigError,
     emit_report,
@@ -137,6 +138,63 @@ class TestRunExperiment:
         assert "exceeds" in result.predictors["knn"].error
         assert result.predictors["mnb"].status == "ok"
         assert result.predictors["mnb"].report.acc > 0
+
+    @staticmethod
+    def _count_calls(monkeypatch, name: str) -> list:
+        calls = []
+        original = getattr(orchestrator, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(orchestrator, name, counted)
+        return calls
+
+    def test_one_feature_pass_for_all_baselines(self, fixture_corpus_path, tmp_path, monkeypatch):
+        preprocessed = self._count_calls(monkeypatch, "preprocess_corpus")
+        fits = self._count_calls(monkeypatch, "fit_vectorizer")
+        raw = minimal_config(
+            fixture_corpus_path,
+            tmp_path,
+            predictors=[{"name": "mnb"}, {"name": "knn"}, {"name": "dt", "max_depth": 4}],
+        )
+        result = run_experiment(validate_config(raw), run_id="one-pass")
+        assert all(res.status == "ok" for res in result.predictors.values())
+        assert len(preprocessed) == 2  # train and test, once each
+        assert len(fits) == 1
+
+    def test_llm_only_roster_builds_no_features(self, fixture_corpus_path, tmp_path, monkeypatch):
+        preprocessed = self._count_calls(monkeypatch, "preprocess_corpus")
+        fits = self._count_calls(monkeypatch, "fit_vectorizer")
+        raw = minimal_config(
+            fixture_corpus_path, tmp_path, predictors=[mock_llm_predictor(repeat_count=1)]
+        )
+        result = run_experiment(validate_config(raw), run_id="llm-only")
+        assert result.predictors["mock-llm"].status == "ok"
+        assert preprocessed == [] and fits == []
+
+    def test_feature_failure_fails_every_baseline(self, fixture_corpus_path, tmp_path, monkeypatch):
+        fits = self._count_calls(monkeypatch, "fit_vectorizer")
+        raw = minimal_config(
+            fixture_corpus_path,
+            tmp_path,
+            predictors=[{"name": "mnb"}, {"name": "knn"}, mock_llm_predictor(repeat_count=1)],
+            features={"min_df": 100000},
+        )
+        result = run_experiment(validate_config(raw), run_id="pruned")
+        for name in ("mnb", "knn"):
+            res = result.predictors[name]
+            assert res.status == "error"
+            assert res.error == "FeatureError: all terms pruned at min_df=100000"
+        assert result.predictors["mock-llm"].status == "ok"
+        assert len(fits) <= 1
+        for rel in ["report.md", "report.json", "split.json", "config.json", "manifest.json",
+                    "reports/mnb.json", "reports/knn.json", "reports/mock-llm.json",
+                    "audit/mock-llm.jsonl"]:
+            assert (result.run_dir / rel).is_file(), rel
+        report = (result.run_dir / "report.md").read_text()
+        assert "- mnb: FeatureError: all terms pruned at min_df=100000" in report
 
     def test_rerun_writes_identical_result_files(self, fixture_corpus_path, tmp_path):
         raw = minimal_config(

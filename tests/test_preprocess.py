@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zsbench.dataset import Document, LabeledCorpus, LabelSchema
@@ -76,6 +76,8 @@ class TestCleanText:
 
     @settings(max_examples=300, deadline=None)
     @given(text=tweet_text, policy=any_policy)
+    @example(text="0T.co/abc", policy=CleaningPolicy.tweet_cleaning())
+    @example(text="<<b>>", policy=CleaningPolicy.tweet_cleaning())
     def test_idempotent(self, text, policy):
         once = clean_text(text, policy)
         assert clean_text(once, policy) == once
