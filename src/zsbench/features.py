@@ -68,9 +68,9 @@ class Vectorizer:
         indptr = [0]
         for doc in docs:
             row = Counter(vocab[t] for t in doc.tokens if t in vocab)
-            cols = sorted(row)
-            indices.extend(cols)
-            counts.extend(row[c] for c in cols)
+            terms = sorted(row)
+            indices.extend(terms)
+            counts.extend(row[t] for t in terms)
             indptr.append(len(indices))
         cols = np.array(indices, dtype=np.int32)
         data = np.array(counts, dtype=float) * self._idf[cols]
