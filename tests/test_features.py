@@ -113,7 +113,6 @@ class TestTransform:
         if row:
             assert math.sqrt(sum(w * w for w in row.values())) == pytest.approx(1.0, abs=1e-9)
 
-
     def test_transform_all_stacks_rows_in_input_order(self):
         v = fit_vectorizer(docs_from([["spam", "win"], ["ham", "win"]]), min_df=1)
         docs = docs_from([["win", "ham"], [], ["unseen"], ["spam"]])
@@ -124,15 +123,31 @@ class TestTransform:
         assert m[1].nnz == m[2].nnz == 0
         assert m[3, v.vocabulary["spam"]] == pytest.approx(1.0, abs=1e-12)
 
+
+class TestFeatureVector:
+    """Each row of transform_all's CSR matrix is one document's feature vector."""
+
+    @staticmethod
+    def rows(docs):
+        v = fit_vectorizer(docs_from([list("abcd"), list("cdef"), list("a")]), min_df=1)
+        m = v.transform_all(docs_from(docs))
+        assert m.shape == (len(docs), v.dim)
+        return v, [m.indices[s:e] for s, e in zip(m.indptr, m.indptr[1:])]
+
     @settings(max_examples=100, deadline=None)
     @given(
         docs=st.lists(st.lists(st.sampled_from("abcdefgh"), max_size=10), max_size=8)
     )
-    def test_row_indices_strictly_increase_within_range(self, docs):
-        v = fit_vectorizer(docs_from([list("abcd"), list("cdef"), list("a")]), min_df=1)
-        m = v.transform_all(docs_from(docs))
-        assert m.shape == (len(docs), v.dim)
-        for start, end in zip(m.indptr, m.indptr[1:]):
-            cols = m.indices[start:end]
+    def test_indices_must_increase(self, docs):
+        _, rows = self.rows(docs)
+        for cols in rows:
             assert (np.diff(cols) > 0).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        docs=st.lists(st.lists(st.sampled_from("abcdefgh"), max_size=10), max_size=8)
+    )
+    def test_index_range_checked(self, docs):
+        v, rows = self.rows(docs)
+        for cols in rows:
             assert ((cols >= 0) & (cols < v.dim)).all()
