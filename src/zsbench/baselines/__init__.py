@@ -3,7 +3,9 @@
 Every trainer takes a CSR feature matrix (one row per training document),
 the training labels, the schema and its hyperparameters. Every model
 exposes predict_proba(x) -> ndarray of shape (n, K): one probability
-distribution over the schema labels per row of x.
+distribution over the schema labels per row of x. DT and RF share one CART
+implementation in `tree`: the decision tree is the one-tree forest, so both
+return a ForestModel.
 """
 
 from __future__ import annotations
@@ -12,11 +14,10 @@ from scipy import sparse
 
 from ..dataset import LabelSchema
 from .common import TrainingError
-from .forest import ForestModel, train_rf
 from .knn import KnnModel, train_knn
 from .logreg import DivergenceError, LogRegModel, train_logreg
 from .mnb import MnbModel, train_mnb
-from .tree import TreeModel, train_dt
+from .tree import ForestModel, train_dt, train_rf
 
 BASELINE_NAMES = ("mnb", "logreg", "knn", "dt", "rf")
 
@@ -62,7 +63,6 @@ __all__ = [
     "LogRegModel",
     "MnbModel",
     "TrainingError",
-    "TreeModel",
     "canonical_baseline_name",
     "train_baseline",
     "train_dt",

@@ -19,8 +19,6 @@ class KnnModel:
     reproducible; a zero vector on either side has similarity 0.
     """
 
-    name = "knn"
-
     def __init__(self, schema: LabelSchema, x: sparse.csr_matrix, y: np.ndarray, k: int):
         self.schema = schema
         self.x = x

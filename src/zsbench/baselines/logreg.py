@@ -21,8 +21,9 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exps / exps.sum(axis=-1, keepdims=True)
 
 
-def _loss(weights, bias, x, y_onehot, l2_lambda):
-    """Mean cross-entropy plus (lambda/2)||W||^2.
+def _loss_and_grads(weights, bias, x, y_onehot, l2_lambda):
+    """Mean cross-entropy plus (lambda/2)||W||^2, and its analytic gradient
+    w.r.t. weights and bias, from one softmax: (loss, grad_w, grad_b).
 
     A true-class probability underflowing to zero makes the loss infinite,
     which the training loop reports as divergence.
@@ -31,22 +32,14 @@ def _loss(weights, bias, x, y_onehot, l2_lambda):
     n = x.shape[0]
     with np.errstate(divide="ignore"):
         ce = -np.log(probs[np.arange(n), y_onehot.argmax(axis=1)]).mean()
-    return ce + 0.5 * l2_lambda * float((weights * weights).sum())
-
-
-def _grads(weights, bias, x, y_onehot, l2_lambda):
-    """Analytic gradient of _loss w.r.t. weights and bias."""
-    probs = softmax(x @ weights.T + bias)
-    n = x.shape[0]
+    loss = ce + 0.5 * l2_lambda * float((weights * weights).sum())
     delta = (probs - y_onehot) / n
     grad_w = (x.T @ delta).T + l2_lambda * weights
     grad_b = delta.sum(axis=0)
-    return np.asarray(grad_w), grad_b
+    return loss, np.asarray(grad_w), grad_b
 
 
 class LogRegModel:
-    name = "logreg"
-
     def __init__(self, schema: LabelSchema, weights: np.ndarray, bias: np.ndarray, loss_history: list[float]):
         self.schema = schema
         self.weights = weights  # shape (K, V)
@@ -85,11 +78,10 @@ def train_logreg(
     bias = np.zeros(k)
     history = []
     for epoch in range(epochs):
-        loss = _loss(weights, bias, x, y_onehot, l2_lambda)
+        loss, grad_w, grad_b = _loss_and_grads(weights, bias, x, y_onehot, l2_lambda)
         if not np.isfinite(loss):
             raise DivergenceError(epoch)
         history.append(float(loss))
-        grad_w, grad_b = _grads(weights, bias, x, y_onehot, l2_lambda)
         weights -= learning_rate * grad_w
         bias -= learning_rate * grad_b
     return LogRegModel(schema, weights, bias, history)

@@ -12,8 +12,6 @@ from .common import TrainingError, check_training_input, normalize_rows
 class MnbModel:
     """Per-class log-priors and per-term log-likelihoods."""
 
-    name = "mnb"
-
     def __init__(self, schema: LabelSchema, log_priors: np.ndarray, log_likelihoods: np.ndarray):
         self.schema = schema
         self.log_priors = log_priors

@@ -1,4 +1,11 @@
-"""CART-style decision tree: greedy Gini splits on feature thresholds.
+"""CART trees: greedy Gini splits on feature thresholds, one grower for DT and RF.
+
+A random forest grows `n_trees` trees, each on a bootstrap sample of the
+training rows with floor(sqrt(V)) randomly drawn candidate features per
+split. Each tree draws its own RNG from (seed, tree index), so training
+order or parallel scheduling cannot change the result. The decision tree
+is the one-tree forest: no bootstrap, every feature considered at every
+split.
 
 Split ties are broken by lowest feature index, then lowest threshold, so
 trees are deterministic. A node splits only when the weighted child
@@ -83,8 +90,7 @@ def _best_split(
 
         # candidate boundaries: positions where the value strictly increases
         boundary = np.flatnonzero(sorted_vals[:-1] < sorted_vals[1:]) + 1
-        if min_leaf > 0:
-            boundary = boundary[(boundary >= min_leaf) & (n - boundary >= min_leaf)]
+        boundary = boundary[(boundary >= min_leaf) & (n - boundary >= min_leaf)]
         if boundary.size == 0:
             continue
 
@@ -138,41 +144,61 @@ def _grow(
     return node
 
 
-class TreeModel:
-    name = "dt"
+class ForestModel:
+    """CART trees whose leaf distributions are averaged; DT is the one-tree case."""
 
-    def __init__(self, schema: LabelSchema, root: TreeNode):
+    def __init__(self, schema: LabelSchema, trees: list[TreeNode]):
         self.schema = schema
-        self.root = root
-
-    def depth(self) -> int:
-        def walk(node: TreeNode) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root)
+        self.trees = trees
 
     def predict_proba(self, x: sparse.csr_matrix) -> np.ndarray:
-        return normalize_rows(leaf_distributions(self.root, x.toarray()))
+        xd = x.toarray()
+        total = np.zeros((xd.shape[0], len(self.schema)))
+        for root in self.trees:
+            total += leaf_distributions(root, xd)
+        return normalize_rows(total / len(self.trees))
 
 
-def _all_features(dim: int):
-    ids = np.arange(dim)
-    return lambda: ids
-
-
-def grow_tree(
-    xd: np.ndarray,
-    y: np.ndarray,
-    rows: np.ndarray,
+def train_rf(
+    x: sparse.csr_matrix,
+    labels: list[str],
     schema: LabelSchema,
-    max_depth: int,
-    min_leaf: int,
-    feature_picker=None,
-) -> TreeNode:
-    picker = feature_picker if feature_picker is not None else _all_features(xd.shape[1])
-    return _grow(xd, y, rows, len(schema), 0, max_depth, min_leaf, picker)
+    n_trees: int = 100,
+    max_depth: int = 32,
+    min_leaf: int = 1,
+    feature_subsample: str = "sqrt",
+    bootstrap: bool = True,
+    seed: int = 0,
+) -> ForestModel:
+    """Train `n_trees` trees on bootstrap samples.
+
+    feature_subsample "sqrt" considers floor(sqrt(V)) random features per
+    split; "all" considers every feature.
+    """
+    if n_trees < 1:
+        raise TrainingError(f"n_trees must be >= 1, got {n_trees}")
+    if feature_subsample not in ("sqrt", "all"):
+        raise TrainingError(f"feature_subsample must be 'sqrt' or 'all', got {feature_subsample!r}")
+    if max_depth < 1:
+        raise TrainingError(f"max_depth must be >= 1, got {max_depth}")
+    if min_leaf < 1:
+        raise TrainingError(f"min_leaf must be >= 1, got {min_leaf}")
+    y = check_training_input(x, labels, schema)
+    xd = x.toarray()
+    n, v = xd.shape
+    m = max(1, math.isqrt(v))
+    all_ids = np.arange(v)
+
+    trees = []
+    for t in range(n_trees):
+        rng = np.random.default_rng([seed, t])
+        rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        if feature_subsample == "sqrt":
+            picker = lambda rng=rng: np.sort(rng.choice(v, size=m, replace=False))
+        else:
+            picker = lambda: all_ids
+        trees.append(_grow(xd, y, rows, len(schema), 0, max_depth, min_leaf, picker))
+    return ForestModel(schema, trees)
 
 
 def train_dt(
@@ -181,16 +207,9 @@ def train_dt(
     schema: LabelSchema,
     max_depth: int = 32,
     min_leaf: int = 1,
-) -> TreeModel:
-    if max_depth < 1:
-        raise TrainingError(f"max_depth must be >= 1, got {max_depth}")
-    if min_leaf < 1:
-        raise TrainingError(f"min_leaf must be >= 1, got {min_leaf}")
-    y = check_training_input(x, labels, schema)
-    xd = x.toarray()
-    root = grow_tree(xd, y, np.arange(xd.shape[0]), schema, max_depth, min_leaf)
-    return TreeModel(schema, root)
-
-
-def sqrt_feature_count(dim: int) -> int:
-    return max(1, int(math.isqrt(dim)))
+) -> ForestModel:
+    """The one-tree forest: every training row, every feature at each split."""
+    return train_rf(
+        x, labels, schema, n_trees=1, max_depth=max_depth, min_leaf=min_leaf,
+        feature_subsample="all", bootstrap=False,
+    )

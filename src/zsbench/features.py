@@ -34,11 +34,10 @@ class Vectorizer:
         l2_normalize: bool,
     ):
         self._vocabulary = dict(vocabulary)
-        self._doc_freq = dict(doc_freq)
         self.l2_normalize = l2_normalize
         self._idf = np.zeros(len(vocabulary))
         for term, idx in self._vocabulary.items():
-            self._idf[idx] = math.log((1 + n_train_docs) / (1 + self._doc_freq[term])) + 1.0
+            self._idf[idx] = math.log((1 + n_train_docs) / (1 + doc_freq[term])) + 1.0
 
     @property
     def dim(self) -> int:
@@ -47,9 +46,6 @@ class Vectorizer:
     @property
     def vocabulary(self) -> dict[str, int]:
         return dict(self._vocabulary)
-
-    def document_frequency(self, term: str) -> int:
-        return self._doc_freq.get(term, 0)
 
     def idf(self, term: str) -> float:
         if term not in self._vocabulary:

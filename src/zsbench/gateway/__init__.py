@@ -20,7 +20,7 @@ from .client import (
     build_request_body,
     complete_chat,
 )
-from .mock import KeywordRuleProvider, ScriptedProvider, apply_keyword_rule
+from .mock import KeywordRuleProvider, apply_keyword_rule
 from .parsing import (
     ParseDiagnostics,
     ParsedLabels,
@@ -56,7 +56,6 @@ __all__ = [
     "PromptError",
     "ProviderError",
     "RetriesExhaustedError",
-    "ScriptedProvider",
     "TaskDescription",
     "apply_keyword_rule",
     "build_instruction",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -108,7 +108,9 @@ def classify_corpus(
 
     `text_of` maps a document to the string sent to the model (defaults to
     the raw text). Batches run with up to `config.concurrency` requests in
-    flight; results are reassembled in batch order.
+    flight; results are reassembled in batch order. The first permanent
+    failure aborts the run: batches not yet started are cancelled and send
+    no request.
     """
     if not docs:
         raise GatewayError("no documents to classify")
@@ -158,18 +160,27 @@ def classify_corpus(
         return outcome
 
     outcomes: list[_BatchOutcome | None] = [None] * len(batches)
-    failure: Exception | None = None
-    completed = 0
+    doomed = threading.Event()
+
+    def run_guarded(batch_no: int) -> None:
+        # once a batch has failed the run is doomed: start no further requests
+        if doomed.is_set():
+            return
+        try:
+            outcomes[batch_no] = run_batch(batch_no)
+        except Exception:
+            doomed.set()
+            raise
+
     with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-        futures = {pool.submit(run_batch, b): b for b in range(len(batches))}
-        for future, batch_no in futures.items():
-            try:
-                outcomes[batch_no] = future.result()
-                completed += 1
-            except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-                if failure is None:
-                    failure = exc
+        futures = [pool.submit(run_guarded, b) for b in range(len(batches))]
+        wait(futures, return_when=FIRST_EXCEPTION)
+        for future in futures:
+            future.cancel()
+    errors = [f.exception() for f in futures if not f.cancelled()]
+    failure = next((exc for exc in errors if exc is not None), None)
     if failure is not None:
+        completed = sum(outcome is not None for outcome in outcomes)
         raise ClassificationAborted(failure, completed, len(batches)) from failure
 
     resolved: dict[int, str] = {}

@@ -55,7 +55,6 @@ class LlmRunConfig:
     repeat_count: int = 5
     concurrency: int = 4
     backoff_base_s: float = 1.0
-    backoff_factor: float = 2.0
     seed: int | None = None
 
     def __post_init__(self) -> None:
@@ -154,7 +153,7 @@ class HttpProvider:
 
 
 def complete_chat(bundle: PromptBundle, config: LlmRunConfig, provider) -> LlmResponse:
-    """Send one request, retrying retryable failures with backoff + jitter."""
+    """Send one request, retrying retryable failures with doubling backoff + jitter."""
     attempts = config.max_retries + 1
     last: Exception | None = None
     for attempt in range(attempts):
@@ -166,7 +165,7 @@ def complete_chat(bundle: PromptBundle, config: LlmRunConfig, provider) -> LlmRe
                 raise
             last = exc
             if attempt + 1 < attempts:
-                delay = config.backoff_base_s * (config.backoff_factor**attempt)
+                delay = config.backoff_base_s * (2.0**attempt)
                 time.sleep(delay * (1.0 + random.uniform(0.0, 0.1)))
             continue
         return LlmResponse(

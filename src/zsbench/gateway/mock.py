@@ -1,4 +1,4 @@
-"""Offline providers for reproducible end-to-end runs and tests."""
+"""Offline keyword-rule provider for reproducible end-to-end runs."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import json
 import re
 
 from ..dataset import LabelSchema
-from .client import ProviderError
 
 _PAYLOAD_LINE_RE = re.compile(r"^(\d+)\.\s(.*)$")
 
@@ -71,22 +70,3 @@ class KeywordRuleProvider:
         if self.noise:
             reply = f"Sure! Here are the categories: {reply} Hope that helps."
         return reply, {"model": body.get("model", "mock"), "usage": {}}
-
-
-class ScriptedProvider:
-    """Replays a fixed sequence of replies; entries may be exceptions."""
-
-    def __init__(self, script: list):
-        self.script = list(script)
-        self.calls = 0
-        self.bodies: list[dict] = []
-
-    def complete(self, body: dict) -> tuple[str, dict]:
-        self.bodies.append(body)
-        if self.calls >= len(self.script):
-            raise ProviderError("script exhausted", retryable=False)
-        entry = self.script[self.calls]
-        self.calls += 1
-        if isinstance(entry, Exception):
-            raise entry
-        return entry, {"model": "scripted", "usage": {}}

@@ -94,7 +94,6 @@ def build_prompt(
     schema: LabelSchema,
     task: TaskDescription,
     batch: list[tuple[int, str]],
-    max_batch_size: int | None = None,
 ) -> PromptBundle:
     """Build the prompt for one document batch.
 
@@ -103,8 +102,6 @@ def build_prompt(
     """
     if not batch:
         raise PromptError("empty batch")
-    if max_batch_size is not None and len(batch) > max_batch_size:
-        raise PromptError(f"batch of {len(batch)} exceeds batch_size {max_batch_size}")
     for index, text in batch:
         if not text.strip():
             raise PromptError(f"document {index} has empty text")

@@ -504,8 +504,15 @@ def run_experiment(config: ExperimentConfig, run_id: str | None = None) -> Exper
     """Execute the full experiment and write artifacts under a run directory.
 
     One predictor failing is recorded and does not disturb the others;
-    dataset or split failures abort.
+    dataset or split failures abort. An existing run directory is refused,
+    so a run never mixes its artifacts with an earlier run's.
     """
+    if run_id is None:
+        run_id = time.strftime("run-%Y%m%d-%H%M%S")
+    run_dir = Path(config.output_dir) / run_id
+    if run_dir.exists():
+        raise ConfigError(f"run directory {run_dir} already exists; choose another run id")
+
     corpus = load_corpus(
         config.dataset.path,
         config.dataset.format,
@@ -515,10 +522,7 @@ def run_experiment(config: ExperimentConfig, run_id: str | None = None) -> Exper
     )
     train, test = stratified_split(corpus, config.test_size, config.split_seed)
 
-    if run_id is None:
-        run_id = time.strftime("run-%Y%m%d-%H%M%S")
-    run_dir = Path(config.output_dir) / run_id
-    run_dir.mkdir(parents=True, exist_ok=True)
+    run_dir.mkdir(parents=True)
 
     result = ExperimentResult(
         config=config,

@@ -40,11 +40,6 @@ class CleaningPolicy:
     apply_stemming: bool = True
 
     @classmethod
-    def identity(cls) -> "CleaningPolicy":
-        """All rules off: lowercase whitespace tokenization only."""
-        return cls(**{f: False for f in cls.__dataclass_fields__})
-
-    @classmethod
     def tweet_cleaning(cls) -> "CleaningPolicy":
         """The tweet-cleaning recipe: urls, html tags, digits, hashtags,
         mentions and stop words removed; text otherwise left readable."""
@@ -67,10 +62,6 @@ class CleanedDocument:
 
     id: int
     tokens: tuple[str, ...]
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.tokens
 
 
 def _load_stopwords() -> frozenset[str]:

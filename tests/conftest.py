@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from zsbench.dataset import LabelSchema
+from zsbench.gateway import ProviderError
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -18,6 +19,25 @@ FIXTURE_RULES = {
     "Electronics": ["battery", "wireless", "usb"],
 }
 FIXTURE_DEFAULT_LABEL = "Household"
+
+
+class ScriptedProvider:
+    """Replays a fixed sequence of replies; entries may be exceptions."""
+
+    def __init__(self, script: list):
+        self.script = list(script)
+        self.calls = 0
+        self.bodies: list[dict] = []
+
+    def complete(self, body: dict) -> tuple[str, dict]:
+        self.bodies.append(body)
+        if self.calls >= len(self.script):
+            raise ProviderError("script exhausted", retryable=False)
+        entry = self.script[self.calls]
+        self.calls += 1
+        if isinstance(entry, Exception):
+            raise entry
+        return entry, {"model": "scripted", "usage": {}}
 
 
 @pytest.fixture

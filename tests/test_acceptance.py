@@ -27,7 +27,7 @@ from conftest import (
     mock_llm_predictor,
 )
 from zsbench.baselines import train_mnb
-from zsbench.baselines.logreg import _grads, _loss
+from zsbench.baselines.logreg import _loss_and_grads
 from zsbench.dataset import LabelSchema, load_corpus, stratified_split
 from zsbench.gateway import ECOMMERCE_TASK, ParsedLabels, build_instruction, parse_classification
 from zsbench.metrics import ConfusionMatrix, binary_auc, macro_f1, mcc
@@ -152,7 +152,10 @@ def test_criterion_3_lr_gradient_check():
     weights = rng.normal(scale=0.4, size=(k, v))
     bias = rng.normal(scale=0.4, size=k)
     l2 = 0.01
-    grad_w, grad_b = _grads(weights, bias, x, y_onehot, l2)
+    _, grad_w, grad_b = _loss_and_grads(weights, bias, x, y_onehot, l2)
+
+    def loss(w, b):
+        return _loss_and_grads(w, b, x, y_onehot, l2)[0]
 
     eps = 1e-5
     for i in range(k):
@@ -160,17 +163,13 @@ def test_criterion_3_lr_gradient_check():
             up, down = weights.copy(), weights.copy()
             up[i, j] += eps
             down[i, j] -= eps
-            numeric = (_loss(up, bias, x, y_onehot, l2) - _loss(down, bias, x, y_onehot, l2)) / (
-                2 * eps
-            )
+            numeric = (loss(up, bias) - loss(down, bias)) / (2 * eps)
             rel = abs(grad_w[i, j] - numeric) / max(abs(numeric), 1e-8)
             assert rel < 1e-6, f"dW[{i},{j}] relative error {rel:.2e}"
         up, down = bias.copy(), bias.copy()
         up[i] += eps
         down[i] -= eps
-        numeric = (_loss(weights, up, x, y_onehot, l2) - _loss(weights, down, x, y_onehot, l2)) / (
-            2 * eps
-        )
+        numeric = (loss(weights, up) - loss(weights, down)) / (2 * eps)
         rel = abs(grad_b[i] - numeric) / max(abs(numeric), 1e-8)
         assert rel < 1e-6, f"db[{i}] relative error {rel:.2e}"
     elapsed = time.monotonic() - start

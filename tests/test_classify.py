@@ -1,22 +1,24 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
 from zsbench.dataset import Document
 from zsbench.gateway import (
     AuditLog,
+    AuthenticationError,
     ClassificationAborted,
     ECOMMERCE_TASK,
     KeywordRuleProvider,
     LlmRunConfig,
     ProviderError,
-    ScriptedProvider,
     classify_corpus,
     replay_audit,
 )
-from conftest import FIXTURE_DEFAULT_LABEL, FIXTURE_RULES
+from conftest import FIXTURE_DEFAULT_LABEL, FIXTURE_RULES, ScriptedProvider
 
 FAST = dict(backoff_base_s=0.001)
 
@@ -137,6 +139,30 @@ class TestReAskAndFallback:
         config = LlmRunConfig(model="m", max_retries=1, **FAST)
         with pytest.raises(ClassificationAborted):
             classify_corpus(docs, ecommerce_schema, ECOMMERCE_TASK, config, provider)
+
+    @pytest.mark.parametrize("concurrency", [2, 8])
+    def test_permanent_failure_stops_further_requests(self, ecommerce_schema, concurrency):
+        class RejectingProvider:
+            def __init__(self):
+                self.calls = 0
+                self._lock = threading.Lock()
+
+            def complete(self, body):
+                with self._lock:
+                    self.calls += 1
+                raise AuthenticationError("bad key")
+
+        docs = make_docs([f"usb item {i}" for i in range(40)])
+        provider = RejectingProvider()
+        config = LlmRunConfig(model="m", batch_size=2, concurrency=concurrency, **FAST)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the workers as often as possible
+        try:
+            with pytest.raises(ClassificationAborted, match=r"^aborted after 0/20 batches: bad key$"):
+                classify_corpus(docs, ecommerce_schema, ECOMMERCE_TASK, config, provider)
+        finally:
+            sys.setswitchinterval(interval)
+        assert 1 <= provider.calls <= 2 * concurrency
 
 
 class TestAuditLog:

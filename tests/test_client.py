@@ -9,13 +9,13 @@ from zsbench.gateway import (
     LlmRunConfig,
     ProviderError,
     RetriesExhaustedError,
-    ScriptedProvider,
     build_prompt,
     build_request_body,
     complete_chat,
 )
+from conftest import ScriptedProvider
 
-FAST = dict(backoff_base_s=0.001, backoff_factor=1.0)
+FAST = dict(backoff_base_s=0.001)
 
 
 @pytest.fixture

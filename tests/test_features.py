@@ -26,7 +26,6 @@ class TestFitVectorizer:
     def test_idf_formula_by_hand(self):
         v = fit_vectorizer(docs_from([["spam", "win"], ["ham"]]), min_df=1)
         assert v.dim == 3
-        assert v.document_frequency("spam") == 1
         assert v.idf("spam") == pytest.approx(math.log(3 / 2) + 1, abs=1e-12)
 
     def test_min_df_prunes_everything(self):
@@ -47,7 +46,9 @@ class TestFitVectorizer:
 
     def test_df_counts_documents_not_occurrences(self):
         v = fit_vectorizer(docs_from([["spam", "spam", "spam"], ["ham"]]), min_df=1)
-        assert v.document_frequency("spam") == 1
+        # smoothed idf ln((1 + N) / (1 + df)) + 1 with N = 2 pins df = 1, not 3
+        assert v.idf("spam") == pytest.approx(math.log(3 / 2) + 1, abs=1e-12)
+        assert v.idf("spam") == v.idf("ham")
 
 
 class TestTransform:

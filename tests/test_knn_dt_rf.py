@@ -42,6 +42,18 @@ def tree_structure(node) -> tuple:
     )
 
 
+def tree_depth(node) -> int:
+    if node.is_leaf:
+        return 0
+    return 1 + max(tree_depth(node.left), tree_depth(node.right))
+
+
+def only_tree(model):
+    """The single tree of a decision tree, which is a one-tree forest."""
+    assert len(model.trees) == 1
+    return model.trees[0]
+
+
 def random_dataset(rng, n, dim, labels):
     features = csr([rng.random(dim).round(2) for _ in range(n)])
     y = [labels[rng.integers(0, len(labels))] for _ in range(n)]
@@ -102,8 +114,9 @@ class TestDecisionTree:
     def test_pure_input_single_leaf(self):
         features = csr([[1, 0], [0.5, 0.5]])
         model = train_dt(features, ["a", "a"], SCHEMA)
-        assert model.depth() == 0
-        assert model.root.is_leaf
+        root = only_tree(model)
+        assert tree_depth(root) == 0
+        assert root.is_leaf
         query = csr([[0.7, 0.7]])
         assert predicted_labels(model, query) == ["a"]
         assert model.predict_proba(query)[0] == pytest.approx((1.0, 0.0), abs=1e-12)
@@ -112,7 +125,7 @@ class TestDecisionTree:
         # all classes present but features identical: no split improves gini
         features = csr([[1, 0], [1, 0]])
         model = train_dt(features, ["a", "b"], SCHEMA)
-        assert model.depth() == 0
+        assert tree_depth(only_tree(model)) == 0
         proba = model.predict_proba(csr([[1, 0]]))
         assert proba[0] == pytest.approx((0.5, 0.5), abs=1e-12)
 
@@ -120,32 +133,37 @@ class TestDecisionTree:
         features = csr([[0.1, 0], [0.2, 0], [0.8, 0], [0.9, 0]])
         labels = ["a", "a", "b", "b"]
         model = train_dt(features, labels, SCHEMA)
+        assert tree_depth(only_tree(model)) == 1
         assert predicted_labels(model, features) == labels
 
     def test_max_depth_respected(self):
         rng = np.random.default_rng(0)
         features, labels = random_dataset(rng, 40, 6, ["a", "b"])
         model = train_dt(features, labels, SCHEMA, max_depth=2)
-        assert model.depth() <= 2
+        assert tree_depth(only_tree(model)) <= 2
 
     def test_min_leaf_respected(self):
         rng = np.random.default_rng(1)
         features, labels = random_dataset(rng, 30, 4, ["a", "b"])
         model = train_dt(features, labels, SCHEMA, min_leaf=5)
+        root = only_tree(model)
 
         def check(node):
             if node.is_leaf:
-                assert node.n_samples >= 5 or node is model.root
+                assert node.n_samples >= 5 or node is root
             else:
                 check(node.left)
                 check(node.right)
 
-        check(model.root)
+        check(root)
+        assert not root.is_leaf
 
     def test_invalid_params(self):
         features = csr([[1], [0]])
         with pytest.raises(TrainingError, match="max_depth"):
             train_dt(features, ["a", "b"], SCHEMA, max_depth=0)
+        with pytest.raises(TrainingError, match="min_leaf"):
+            train_dt(features, ["a", "b"], SCHEMA, min_leaf=0)
 
 
 class TestRandomForest:
@@ -179,6 +197,11 @@ class TestRandomForest:
         m1 = train_rf(features, labels, SCHEMA, n_trees=8, seed=1)
         m2 = train_rf(features, labels, SCHEMA, n_trees=8, seed=2)
         assert [tree_structure(t) for t in m1.trees] != [tree_structure(t) for t in m2.trees]
+
+    @pytest.mark.parametrize("min_leaf", [0, -1])
+    def test_rejects_min_leaf_below_one(self, min_leaf):
+        with pytest.raises(TrainingError, match="min_leaf must be >= 1"):
+            train_rf(csr([[1], [0]]), ["a", "b"], SCHEMA, min_leaf=min_leaf)
 
     def test_rejects_bad_subsample_mode(self):
         with pytest.raises(TrainingError, match="feature_subsample"):

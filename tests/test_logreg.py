@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 
 from zsbench.baselines import DivergenceError, TrainingError, train_logreg
-from zsbench.baselines.logreg import _grads, _loss
+from zsbench.baselines.logreg import _loss_and_grads
 from zsbench.dataset import LabelSchema
 
 
@@ -78,7 +78,10 @@ class TestGradientCheck:
         bias = rng.normal(scale=0.5, size=k)
         l2 = 0.01
 
-        grad_w, grad_b = _grads(weights, bias, x, y_onehot, l2)
+        _, grad_w, grad_b = _loss_and_grads(weights, bias, x, y_onehot, l2)
+
+        def loss(w, b):
+            return _loss_and_grads(w, b, x, y_onehot, l2)[0]
 
         eps = 1e-5
         num_w = np.zeros_like(weights)
@@ -88,18 +91,14 @@ class TestGradientCheck:
                 down = weights.copy()
                 up[i, j] += eps
                 down[i, j] -= eps
-                num_w[i, j] = (
-                    _loss(up, bias, x, y_onehot, l2) - _loss(down, bias, x, y_onehot, l2)
-                ) / (2 * eps)
+                num_w[i, j] = (loss(up, bias) - loss(down, bias)) / (2 * eps)
         num_b = np.zeros_like(bias)
         for i in range(k):
             up = bias.copy()
             down = bias.copy()
             up[i] += eps
             down[i] -= eps
-            num_b[i] = (
-                _loss(weights, up, x, y_onehot, l2) - _loss(weights, down, x, y_onehot, l2)
-            ) / (2 * eps)
+            num_b[i] = (loss(weights, up) - loss(weights, down)) / (2 * eps)
 
         rel_w = np.abs(grad_w - num_w) / np.maximum(np.abs(num_w), 1e-8)
         rel_b = np.abs(grad_b - num_b) / np.maximum(np.abs(num_b), 1e-8)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from conftest import fixture_experiment_config, mock_llm_predictor
-from zsbench import orchestrator
+from zsbench import cli, orchestrator
 from zsbench.orchestrator import (
     ConfigError,
     emit_report,
@@ -222,6 +222,34 @@ class TestRunExperiment:
         assert manifest["config_hash"] == result.config.config_hash()
         audit_lines = (result.run_dir / "audit" / "mock-llm.jsonl").read_text().splitlines()
         assert len(audit_lines) == 2 * 6  # 2 repeats x ceil(150/25) batches
+
+    def test_reused_run_id_refused_before_loading(self, fixture_corpus_path, tmp_path, monkeypatch):
+        first = validate_config(
+            minimal_config(fixture_corpus_path, tmp_path, predictors=[{"name": "mnb"}, {"name": "knn"}])
+        )
+        run_dir = run_experiment(first, run_id="reused").run_dir
+        report = (run_dir / "report.json").read_text()
+
+        loads = []
+        monkeypatch.setattr(orchestrator, "load_corpus", lambda *a, **k: loads.append(a))
+        smaller = validate_config(minimal_config(fixture_corpus_path, tmp_path))
+        with pytest.raises(ConfigError, match="already exists"):
+            run_experiment(smaller, run_id="reused")
+        assert loads == []
+        # the earlier run's artifacts are left exactly as they were
+        assert (run_dir / "report.json").read_text() == report
+        assert (run_dir / "reports" / "knn.json").is_file()
+
+    def test_cli_reports_reused_run_id(self, fixture_corpus_path, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(minimal_config(fixture_corpus_path, tmp_path), "utf-8")
+        argv = ["run", str(config_path), "--run-id", "cli-run"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: run directory ")
+        assert "already exists" in err
 
 
 class TestEmitReport:

@@ -78,11 +78,6 @@ class TestBuildPrompt:
         with pytest.raises(PromptError, match="empty batch"):
             build_prompt(schema, ECOMMERCE_TASK, [])
 
-    def test_oversized_batch_rejected(self, schema):
-        batch = [(i, f"item {i}") for i in range(4)]
-        with pytest.raises(PromptError, match="exceeds"):
-            build_prompt(schema, ECOMMERCE_TASK, batch, max_batch_size=3)
-
     def test_empty_text_rejected(self, schema):
         with pytest.raises(PromptError, match="empty text"):
             build_prompt(schema, ECOMMERCE_TASK, [(0, "   ")])
