@@ -10,6 +10,8 @@ return a ForestModel.
 
 from __future__ import annotations
 
+import inspect
+
 from scipy import sparse
 
 from ..dataset import LabelSchema
@@ -19,7 +21,7 @@ from .logreg import DivergenceError, LogRegModel, train_logreg
 from .mnb import MnbModel, train_mnb
 from .tree import ForestModel, train_dt, train_rf
 
-BASELINE_NAMES = ("mnb", "logreg", "knn", "dt", "rf")
+TRAINERS = {"mnb": train_mnb, "logreg": train_logreg, "knn": train_knn, "dt": train_dt, "rf": train_rf}
 
 # common shorthand accepted in configs
 BASELINE_ALIASES = {"lg": "logreg", "lr": "logreg"}
@@ -30,7 +32,12 @@ DISPLAY_NAMES = {"mnb": "MNB", "logreg": "LG", "knn": "KNN", "dt": "DT", "rf": "
 def canonical_baseline_name(name: str) -> str | None:
     key = name.strip().lower()
     key = BASELINE_ALIASES.get(key, key)
-    return key if key in BASELINE_NAMES else None
+    return key if key in TRAINERS else None
+
+
+def hyperparameter_names(kind: str) -> frozenset[str]:
+    """The keyword parameters of a trainer, after (x, labels, schema)."""
+    return frozenset(list(inspect.signature(TRAINERS[kind]).parameters)[3:])
 
 
 def train_baseline(
@@ -44,26 +51,20 @@ def train_baseline(
     key = canonical_baseline_name(name)
     if key is None:
         raise TrainingError(f"unknown baseline {name!r}")
-    trainer = {
-        "mnb": train_mnb,
-        "logreg": train_logreg,
-        "knn": train_knn,
-        "dt": train_dt,
-        "rf": train_rf,
-    }[key]
-    return trainer(x, labels, schema, **hyper)
+    return TRAINERS[key](x, labels, schema, **hyper)
 
 
 __all__ = [
-    "BASELINE_NAMES",
     "DISPLAY_NAMES",
     "DivergenceError",
     "ForestModel",
     "KnnModel",
     "LogRegModel",
     "MnbModel",
+    "TRAINERS",
     "TrainingError",
     "canonical_baseline_name",
+    "hyperparameter_names",
     "train_baseline",
     "train_dt",
     "train_knn",

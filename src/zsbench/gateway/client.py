@@ -55,19 +55,22 @@ class LlmRunConfig:
     repeat_count: int = 5
     concurrency: int = 4
     backoff_base_s: float = 1.0
-    seed: int | None = None
+    request_seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
-        if not 0 < self.top_p <= 1:
-            raise ValueError(f"top_p must be in (0, 1], got {self.top_p}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-        if self.repeat_count < 1:
-            raise ValueError(f"repeat_count must be positive, got {self.repeat_count}")
-        if self.concurrency < 1:
-            raise ValueError(f"concurrency must be positive, got {self.concurrency}")
+        for name, ok, expected in (
+            ("temperature", lambda v: v >= 0, ">= 0"),
+            ("top_p", lambda v: 0 < v <= 1, "in (0, 1]"),
+            ("batch_size", lambda v: v >= 1, "positive"),
+            ("max_retries", lambda v: v >= 0, ">= 0"),
+            ("timeout_s", lambda v: v > 0, "positive"),
+            ("repeat_count", lambda v: v >= 1, "positive"),
+            ("concurrency", lambda v: v >= 1, "positive"),
+            ("backoff_base_s", lambda v: v >= 0, ">= 0"),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or not ok(value):
+                raise ValueError(f"{name} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -91,8 +94,8 @@ def build_request_body(bundle: PromptBundle, config: LlmRunConfig) -> dict:
         "temperature": config.temperature,
         "top_p": config.top_p,
     }
-    if config.seed is not None:
-        body["seed"] = config.seed
+    if config.request_seed is not None:
+        body["seed"] = config.request_seed
     return body
 
 
@@ -108,12 +111,11 @@ class HttpProvider:
         endpoint: str,
         api_key_env: str = "OPENAI_API_KEY",
         timeout_s: float = 60.0,
-        session=None,
     ):
         self.endpoint = endpoint
         self.api_key_env = api_key_env
         self.timeout_s = timeout_s
-        self._session = session if session is not None else requests.Session()
+        self._session = requests.Session()
 
     def complete(self, body: dict) -> tuple[str, dict]:
         """Returns (assistant_text, metadata). Raises ProviderError."""

@@ -37,10 +37,14 @@ class KeywordRuleProvider:
     def __init__(
         self,
         schema: LabelSchema,
-        rules: dict[str, list[str]],
-        default_label: str,
+        rules: dict[str, list[str]] | None = None,
+        default_label: str | None = None,
         noise: bool = False,
     ):
+        rules = {} if rules is None else rules
+        if not isinstance(rules, dict):
+            raise TypeError(f"rules must map labels to keyword lists, got {rules!r}")
+        default_label = schema.labels[0] if default_label is None else default_label
         unknown = [lab for lab in rules if lab not in schema.labels]
         if unknown:
             raise ValueError(f"rule labels not in schema: {unknown}")

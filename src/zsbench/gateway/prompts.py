@@ -7,7 +7,7 @@ lists documents as "index. text", one per line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ..dataset import LabelSchema
 
@@ -47,12 +47,7 @@ class TaskDescription:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "subject": self.subject,
-            "item_singular": self.item_singular,
-            "item_plural": self.item_plural,
-            "venue": self.venue,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TaskDescription":

@@ -16,11 +16,12 @@ import json
 import platform
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from datetime import datetime
 from pathlib import Path
 
 from . import __version__
-from .baselines import DISPLAY_NAMES, canonical_baseline_name, train_baseline
+from .baselines import DISPLAY_NAMES, canonical_baseline_name, hyperparameter_names, train_baseline
 from .dataset import Document, LabeledCorpus, LabelSchema, load_corpus, stratified_split
 from .features import fit_vectorizer
 from .gateway import (
@@ -50,13 +51,7 @@ class DatasetSpec:
     schema: LabelSchema
 
     def to_json_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "format": self.format,
-            "text_field": self.text_field,
-            "label_field": self.label_field,
-            "schema": self.schema.to_json_dict(),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -78,25 +73,17 @@ class LlmSpec:
     text_variant: str = "raw"
 
     def to_json_dict(self) -> dict:
-        out = {
+        run = asdict(self.run)
+        if run["request_seed"] is None:
+            del run["request_seed"]
+        return {
             "name": self.name,
             "type": "llm",
-            "model": self.run.model,
-            "temperature": self.run.temperature,
-            "top_p": self.run.top_p,
-            "batch_size": self.run.batch_size,
-            "max_retries": self.run.max_retries,
-            "timeout_s": self.run.timeout_s,
-            "repeat_count": self.run.repeat_count,
-            "concurrency": self.run.concurrency,
-            "backoff_base_s": self.run.backoff_base_s,
+            **run,
             "provider": self.provider,
             "task": self.task.to_json_dict(),
             "text_variant": self.text_variant,
         }
-        if self.run.seed is not None:
-            out["request_seed"] = self.run.seed
-        return out
 
 
 @dataclass(frozen=True)
@@ -135,6 +122,16 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _checked_object(data, where: str, allowed) -> dict:
+    """`data` itself, once it is known to be an object with no key outside `allowed`."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: expected an object")
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        raise ConfigError(f"{where}: unknown fields {unknown}")
+    return data
+
+
 def _parse_policy(data, where: str, default: CleaningPolicy) -> CleaningPolicy:
     if data is None:
         return default
@@ -148,32 +145,19 @@ def _parse_policy(data, where: str, default: CleaningPolicy) -> CleaningPolicy:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+# the keys of an llm entry that are not LlmRunConfig fields
+_LLM_ENTRY_KEYS = ("name", "type", "provider", "task", "text_variant")
+
+
 def _parse_llm_predictor(
-    entry: dict, where: str, schema: LabelSchema, default_repeat: int
+    entry: dict, where: str, schema: LabelSchema, run_defaults: dict
 ) -> LlmSpec:
     provider = _require(entry, "provider", where)
     if not isinstance(provider, dict) or "type" not in provider:
         raise ConfigError(f"{where}.provider: expected an object with a 'type'")
-    ptype = provider["type"]
-    if ptype == "http":
-        if "endpoint" not in provider:
-            raise ConfigError(f"{where}.provider: http provider needs an 'endpoint'")
-        if "model" not in entry:
-            raise ConfigError(f"{where}: llm predictor needs a 'model' name")
-    elif ptype == "mock":
-        rules = provider.get("rules", {})
-        bad = [lab for lab in rules if lab not in schema.labels]
-        if bad:
-            raise ConfigError(
-                f"{where}.provider.rules: labels not in schema: {bad}"
-            )
-        default_label = provider.get("default_label", schema.labels[0])
-        if default_label not in schema.labels:
-            raise ConfigError(
-                f"{where}.provider.default_label: {default_label!r} not in schema"
-            )
-    else:
-        raise ConfigError(f"{where}.provider.type: unknown provider type {ptype!r}")
+    # only a mock entry may leave out the model name (it defaults to "mock" below)
+    if provider["type"] == "http" and "model" not in entry:
+        raise ConfigError(f"{where}: llm predictor needs a 'model' name")
 
     text_variant = entry.get("text_variant", "raw")
     if text_variant not in ("raw", "clean", "both"):
@@ -190,38 +174,30 @@ def _parse_llm_predictor(
         except TypeError as exc:
             raise ConfigError(f"{where}.task: {exc}") from exc
 
+    run_fields = {k: v for k, v in entry.items() if k not in _LLM_ENTRY_KEYS}
     try:
-        run = LlmRunConfig(
-            model=entry.get("model", "mock"),
-            temperature=entry.get("temperature", 0.01),
-            top_p=entry.get("top_p", 0.9),
-            batch_size=entry.get("batch_size", 25),
-            max_retries=entry.get("max_retries", 3),
-            timeout_s=entry.get("timeout_s", 60.0),
-            repeat_count=entry.get("repeat_count", default_repeat),
-            concurrency=entry.get("concurrency", 4),
-            backoff_base_s=entry.get("backoff_base_s", 1.0),
-            seed=entry.get("request_seed"),
-        )
-    except ValueError as exc:
+        run = LlmRunConfig(**{"model": "mock", **run_defaults, **run_fields})
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
-    return LlmSpec(
+    spec = LlmSpec(
         name=entry.get("name", entry.get("model", "llm")),
         run=run,
         provider=provider,
         task=task,
         text_variant=text_variant,
     )
+    try:
+        _build_provider(spec, schema)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}.provider: {exc}") from exc
+    return spec
 
 
-_BASELINE_HYPER_KEYS = {
-    "mnb": {"alpha"},
-    "logreg": {"learning_rate", "l2_lambda", "epochs", "seed"},
-    "knn": {"k"},
-    "dt": {"max_depth", "min_leaf"},
-    "rf": {"n_trees", "max_depth", "min_leaf", "feature_subsample", "bootstrap", "seed"},
-}
+_CONFIG_KEYS = (
+    "dataset", "split", "cleaning", "llm_cleaning", "features", "repeat_count",
+    "predictors", "output_dir",
+)
 
 
 def validate_config(raw: str) -> ExperimentConfig:
@@ -230,14 +206,17 @@ def validate_config(raw: str) -> ExperimentConfig:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
+    data = _checked_object(data, "config", _CONFIG_KEYS)
 
-    ds = _require(data, "dataset", "config")
-    schema_data = _require(ds, "schema", "dataset")
+    ds = _checked_object(
+        _require(data, "dataset", "config"), "dataset", [f.name for f in fields(DatasetSpec)]
+    )
+    schema_data = _checked_object(
+        _require(ds, "schema", "dataset"), "dataset.schema", [f.name for f in fields(LabelSchema)]
+    )
     try:
         schema = LabelSchema.from_json_dict(schema_data)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"dataset.schema: {exc}") from exc
     fmt = ds.get("format", "csv")
     if fmt not in ("csv", "jsonl"):
@@ -250,7 +229,7 @@ def validate_config(raw: str) -> ExperimentConfig:
         schema=schema,
     )
 
-    split = data.get("split", {})
+    split = _checked_object(data.get("split", {}), "split", ("test_size", "seed"))
     test_size = split.get("test_size", 150)
     if not isinstance(test_size, int) or test_size < 1:
         raise ConfigError(f"split.test_size: expected a positive integer, got {test_size!r}")
@@ -261,13 +240,14 @@ def validate_config(raw: str) -> ExperimentConfig:
         data.get("llm_cleaning"), "llm_cleaning", CleaningPolicy.tweet_cleaning()
     )
 
-    feats = data.get("features", {})
+    feats = _checked_object(data.get("features", {}), "features", ("min_df", "l2_normalize"))
     min_df = feats.get("min_df", 2)
     if not isinstance(min_df, int) or min_df < 1:
         raise ConfigError(f"features.min_df: expected a positive integer, got {min_df!r}")
     l2_normalize = bool(feats.get("l2_normalize", True))
 
-    default_repeat = data.get("repeat_count", 5)
+    # a top-level repeat_count is the default of every llm entry
+    run_defaults = {"repeat_count": data["repeat_count"]} if "repeat_count" in data else {}
 
     entries = _require(data, "predictors", "config")
     if not isinstance(entries, list) or not entries:
@@ -279,18 +259,14 @@ def validate_config(raw: str) -> ExperimentConfig:
         if not isinstance(entry, dict):
             raise ConfigError(f"{where}: expected an object")
         if entry.get("type") == "llm" or "provider" in entry:
-            spec = _parse_llm_predictor(entry, where, schema, default_repeat)
+            spec = _parse_llm_predictor(entry, where, schema, run_defaults)
         else:
             name = str(_require(entry, "name", where))
             kind = canonical_baseline_name(name)
             if kind is None:
                 raise ConfigError(f"{where}: unknown predictor {name!r}")
+            _checked_object(entry, where, {"name", *hyperparameter_names(kind)})
             hyper = {k: v for k, v in entry.items() if k != "name"}
-            unknown = set(hyper) - _BASELINE_HYPER_KEYS[kind]
-            if unknown:
-                raise ConfigError(
-                    f"{where}: unknown {kind} hyperparameters: {sorted(unknown)}"
-                )
             spec = BaselineSpec(name=name, kind=kind, hyper=hyper)
         if spec.name in seen_names:
             raise ConfigError(f"{where}: duplicate predictor name {spec.name!r}")
@@ -368,19 +344,14 @@ class ExperimentResult:
 
 
 def _build_provider(spec: LlmSpec, schema: LabelSchema):
-    cfg = spec.provider
-    if cfg["type"] == "mock":
-        return KeywordRuleProvider(
-            schema=schema,
-            rules=cfg.get("rules", {}),
-            default_label=cfg.get("default_label", schema.labels[0]),
-            noise=cfg.get("noise", False),
-        )
-    return HttpProvider(
-        endpoint=cfg["endpoint"],
-        api_key_env=cfg.get("api_key_env", "OPENAI_API_KEY"),
-        timeout_s=spec.run.timeout_s,
-    )
+    """The entry's provider, built from the provider object's own fields:
+    its constructor is the one place that checks and defaults them."""
+    settings = {k: v for k, v in spec.provider.items() if k != "type"}
+    if spec.provider["type"] == "mock":
+        return KeywordRuleProvider(schema, **settings)
+    if spec.provider["type"] == "http":
+        return HttpProvider(timeout_s=spec.run.timeout_s, **settings)
+    raise ValueError(f"unknown provider type {spec.provider['type']!r}")
 
 
 def _wrong_label(gold: str, schema: LabelSchema) -> str:
@@ -508,7 +479,7 @@ def run_experiment(config: ExperimentConfig, run_id: str | None = None) -> Exper
     so a run never mixes its artifacts with an earlier run's.
     """
     if run_id is None:
-        run_id = time.strftime("run-%Y%m%d-%H%M%S")
+        run_id = datetime.now().strftime("run-%Y%m%d-%H%M%S-%f")
     run_dir = Path(config.output_dir) / run_id
     if run_dir.exists():
         raise ConfigError(f"run directory {run_dir} already exists; choose another run id")

@@ -34,7 +34,7 @@ class TestRequestBody:
         assert "seed" not in body
 
     def test_optional_request_seed(self, bundle):
-        body = build_request_body(bundle, LlmRunConfig(model="m", seed=7))
+        body = build_request_body(bundle, LlmRunConfig(model="m", request_seed=7))
         assert body["seed"] == 7
 
     def test_config_validation(self):
@@ -107,11 +107,11 @@ class _FakeSession:
 class TestHttpProvider:
     def _provider(self, responses, monkeypatch):
         monkeypatch.setenv("TEST_API_KEY", "sk-test")
-        return HttpProvider(
-            "https://api.example.com/v1/chat/completions",
-            api_key_env="TEST_API_KEY",
-            session=_FakeSession(responses),
+        provider = HttpProvider(
+            "https://api.example.com/v1/chat/completions", api_key_env="TEST_API_KEY"
         )
+        provider._session = _FakeSession(responses)
+        return provider
 
     def test_parses_chat_completion(self, monkeypatch):
         payload = {
@@ -128,7 +128,8 @@ class TestHttpProvider:
 
     def test_missing_api_key(self, monkeypatch):
         monkeypatch.delenv("ABSENT_KEY", raising=False)
-        provider = HttpProvider("https://x/v1", api_key_env="ABSENT_KEY", session=_FakeSession([]))
+        provider = HttpProvider("https://x/v1", api_key_env="ABSENT_KEY")
+        provider._session = _FakeSession([])
         with pytest.raises(AuthenticationError, match="ABSENT_KEY"):
             provider.complete({})
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
+import requests
 
 from conftest import fixture_experiment_config, mock_llm_predictor
 from zsbench import cli, orchestrator
@@ -17,6 +19,15 @@ from zsbench.orchestrator import (
 def minimal_config(fixture_corpus_path, tmp_path, predictors=None, **overrides) -> str:
     predictors = predictors if predictors is not None else [{"name": "mnb"}]
     return fixture_experiment_config(fixture_corpus_path, tmp_path / "runs", predictors, **overrides)
+
+
+def http_llm_predictor(**provider_fields) -> dict:
+    return {
+        "name": "gpt",
+        "type": "llm",
+        "model": "gpt-4-1106-preview",
+        "provider": {"type": "http", "endpoint": "https://api.example.com/v1", **provider_fields},
+    }
 
 
 class TestValidateConfig:
@@ -87,6 +98,114 @@ class TestValidateConfig:
     def test_not_json(self):
         with pytest.raises(ConfigError, match="not valid JSON"):
             validate_config("still not { json")
+
+    @staticmethod
+    def _every_level(fixture_corpus_path, tmp_path) -> dict:
+        """A valid config with an object at each level that takes fields."""
+        task = {"subject": "products", "item_singular": "product",
+                "item_plural": "products", "venue": "the shop"}
+        predictors = [
+            {"name": "mnb"},
+            mock_llm_predictor(task=task),
+            http_llm_predictor(api_key_env="EXAMPLE_API_KEY"),
+        ]
+        raw = minimal_config(fixture_corpus_path, tmp_path, predictors, features={"min_df": 2})
+        return json.loads(raw)
+
+    @pytest.mark.parametrize(
+        "path, where, field",
+        [
+            ((), r"config", "feautres"),
+            (("dataset",), r"dataset", "txt_field"),
+            (("dataset", "schema"), r"dataset\.schema", "label_order"),
+            (("split",), r"split", "test_sise"),
+            (("features",), r"features", "min_dff"),
+            (("predictors", 0), r"predictors\[0\]", "alfa"),
+            (("predictors", 1), r"predictors\[1\]", "temprature"),
+            (("predictors", 1, "provider"), r"predictors\[1\]\.provider", "default_lable"),
+            (("predictors", 1, "task"), r"predictors\[1\]\.task", "subjekt"),
+            (("predictors", 2, "provider"), r"predictors\[2\]\.provider", "api_key"),
+        ],
+        ids=["top", "dataset", "schema", "split", "features", "baseline", "llm",
+             "mock-provider", "task", "http-provider"],
+    )
+    def test_unknown_field_rejected_with_location(
+        self, fixture_corpus_path, tmp_path, path, where, field
+    ):
+        data = self._every_level(fixture_corpus_path, tmp_path)
+        validate_config(json.dumps(data))  # valid before the unknown field goes in
+        target = data
+        for key in path:
+            target = target[key]
+        target[field] = 1
+        with pytest.raises(ConfigError, match=rf"^{where}: .*'{field}'"):
+            validate_config(json.dumps(data))
+
+    def test_api_key_in_provider_not_echoed(self, fixture_corpus_path, tmp_path):
+        predictor = http_llm_predictor(api_key="sk-not-a-real-key")
+        raw = minimal_config(fixture_corpus_path, tmp_path, predictors=[predictor])
+        with pytest.raises(ConfigError, match=r"^predictors\[0\]\.provider: .*'api_key'") as info:
+            validate_config(raw)
+        assert "sk-not-a-real-key" not in str(info.value)
+
+    def test_validation_sends_no_request(self, fixture_corpus_path, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("validation sent a request")
+
+        monkeypatch.setattr(requests.Session, "request", refuse)
+        config = validate_config(json.dumps(self._every_level(fixture_corpus_path, tmp_path)))
+        assert config.predictors[2].provider["api_key_env"] == "EXAMPLE_API_KEY"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("batch_size", "25"),
+            ("batch_size", 0),
+            ("max_retries", -1),
+            ("timeout_s", 0),
+            ("timeout_s", -1.5),
+            ("backoff_base_s", -0.5),
+            ("temperature", -0.1),
+            ("top_p", 1.5),
+            ("repeat_count", 0),
+            ("concurrency", 0),
+        ],
+    )
+    def test_llm_run_field_out_of_range(self, fixture_corpus_path, tmp_path, field, value):
+        bound = {"max_retries": ">= 0", "backoff_base_s": ">= 0", "temperature": ">= 0",
+                 "top_p": "in (0, 1]"}.get(field, "positive")
+        predictor = mock_llm_predictor(**{field: value})
+        raw = minimal_config(fixture_corpus_path, tmp_path, predictors=[predictor])
+        message = re.escape(f"predictors[0]: {field} must be {bound}, got {value!r}")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            validate_config(raw)
+
+    @pytest.mark.parametrize("field, value", [("max_retries", 0), ("backoff_base_s", 0)])
+    def test_llm_run_field_lower_bound_accepted(self, fixture_corpus_path, tmp_path, field, value):
+        predictor = mock_llm_predictor(**{field: value})
+        config = validate_config(minimal_config(fixture_corpus_path, tmp_path, predictors=[predictor]))
+        assert getattr(config.predictors[0].run, field) == value
+
+    def test_top_level_repeat_count_is_the_llm_default(self, fixture_corpus_path, tmp_path):
+        raw = minimal_config(
+            fixture_corpus_path,
+            tmp_path,
+            predictors=[mock_llm_predictor("a"), mock_llm_predictor("b", repeat_count=2)],
+            repeat_count=3,
+        )
+        a, b = validate_config(raw).predictors
+        assert (a.run.repeat_count, b.run.repeat_count) == (3, 2)
+
+    def test_cli_validate_reports_bad_batch_size(self, fixture_corpus_path, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        predictor = mock_llm_predictor(batch_size="25")
+        config_path.write_text(
+            minimal_config(fixture_corpus_path, tmp_path, predictors=[predictor]), "utf-8"
+        )
+        assert cli.main(["validate", str(config_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: predictors[0]: batch_size must be positive, got '25'\n"
 
 
 class TestRunExperiment:
@@ -222,6 +341,15 @@ class TestRunExperiment:
         assert manifest["config_hash"] == result.config.config_hash()
         audit_lines = (result.run_dir / "audit" / "mock-llm.jsonl").read_text().splitlines()
         assert len(audit_lines) == 2 * 6  # 2 repeats x ceil(150/25) batches
+
+    def test_default_run_ids_do_not_collide(self, fixture_corpus_path, tmp_path):
+        config = validate_config(minimal_config(fixture_corpus_path, tmp_path))
+        first = run_experiment(config)
+        second = run_experiment(config)
+        assert first.run_dir != second.run_dir
+        assert first.run_dir.parent == second.run_dir.parent == tmp_path / "runs"
+        for result in (first, second):
+            assert (result.run_dir / "report.json").is_file()
 
     def test_reused_run_id_refused_before_loading(self, fixture_corpus_path, tmp_path, monkeypatch):
         first = validate_config(
