@@ -180,8 +180,11 @@ def _parse_llm_predictor(
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
+    name = entry.get("name", entry.get("model", "llm"))
+    if not isinstance(name, str):
+        raise ConfigError(f"{where}.name: expected a string, got {name!r}")
     spec = LlmSpec(
-        name=entry.get("name", entry.get("model", "llm")),
+        name=name,
         run=run,
         provider=provider,
         task=task,
@@ -273,6 +276,10 @@ def validate_config(raw: str) -> ExperimentConfig:
         seen_names.add(spec.name)
         predictors.append(spec)
 
+    output_dir = data.get("output_dir", "runs")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir: expected a string, got {output_dir!r}")
+
     return ExperimentConfig(
         dataset=dataset,
         test_size=test_size,
@@ -282,7 +289,7 @@ def validate_config(raw: str) -> ExperimentConfig:
         min_df=min_df,
         l2_normalize=l2_normalize,
         predictors=tuple(predictors),
-        output_dir=data.get("output_dir", "runs"),
+        output_dir=output_dir,
     )
 
 
@@ -538,16 +545,20 @@ def run_experiment(config: ExperimentConfig, run_id: str | None = None) -> Exper
 
 
 def _check_fair_comparison(result: ExperimentResult) -> None:
-    """Every successful predictor must have consumed the same test ids."""
+    """Every successful predictor must have consumed the same test ids; one
+    that did not is recorded as failed, so its scores are not compared."""
     expected = sorted(result.test_ids)
-    for res in result.predictors.values():
+    for name, res in list(result.predictors.items()):
         if res.status != "ok":
             continue
         consumed = sorted(res.diagnostics.get("evaluated_doc_ids", []))
         if consumed != expected:
-            raise AssertionError(
-                f"fair-comparison violation: {res.name} evaluated {len(consumed)} "
-                f"documents, expected the shared {len(expected)}-item test set"
+            result.predictors[name] = PredictorResult(
+                name=res.name,
+                category=res.category,
+                status="error",
+                error=f"fair-comparison violation: {res.name} evaluated {len(consumed)} "
+                f"documents, expected the shared {len(expected)}-item test set",
             )
 
 

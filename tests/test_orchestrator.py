@@ -207,6 +207,23 @@ class TestValidateConfig:
         assert captured.out == ""
         assert captured.err == "error: predictors[0]: batch_size must be positive, got '25'\n"
 
+    def test_cli_validate_reports_non_string_llm_name(self, fixture_corpus_path, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        predictors = [{"name": "mnb"}, mock_llm_predictor(name=["a"])]
+        config_path.write_text(minimal_config(fixture_corpus_path, tmp_path, predictors), "utf-8")
+        assert cli.main(["validate", str(config_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: predictors[1].name: expected a string, got ['a']"
+        ]
+
+    def test_non_string_output_dir_rejected(self, fixture_corpus_path, tmp_path):
+        config = json.loads(minimal_config(fixture_corpus_path, tmp_path))
+        raw = json.dumps({**config, "output_dir": 5})
+        with pytest.raises(ConfigError, match=r"^output_dir: expected a string, got 5$"):
+            validate_config(raw)
+
 
 class TestRunExperiment:
     def test_shared_split_across_predictors(self, fixture_corpus_path, tmp_path):
@@ -367,6 +384,41 @@ class TestRunExperiment:
         # the earlier run's artifacts are left exactly as they were
         assert (run_dir / "report.json").read_text() == report
         assert (run_dir / "reports" / "knn.json").is_file()
+
+    def test_fair_comparison_violation_fails_only_that_predictor(
+        self, fixture_corpus_path, tmp_path, monkeypatch, capsys
+    ):
+        original = orchestrator._run_baseline
+
+        def drop_one_test_doc(spec, *args):
+            res = original(spec, *args)
+            if spec.name == "knn":
+                res.diagnostics["evaluated_doc_ids"] = res.diagnostics["evaluated_doc_ids"][1:]
+            return res
+
+        monkeypatch.setattr(orchestrator, "_run_baseline", drop_one_test_doc)
+        config_path = tmp_path / "config.json"
+        predictors = [{"name": "mnb"}, {"name": "knn"}, mock_llm_predictor(repeat_count=1)]
+        config_path.write_text(minimal_config(fixture_corpus_path, tmp_path, predictors), "utf-8")
+        assert cli.main(["run", str(config_path), "--run-id", "unfair"]) == 1
+        assert "1 predictor(s) failed" in capsys.readouterr().err
+
+        run_dir = tmp_path / "runs" / "unfair"
+        for rel in ["report.md", "report.json", "split.json", "config.json", "manifest.json",
+                    "reports/mnb.json", "reports/knn.json", "reports/mock-llm.json"]:
+            assert (run_dir / rel).is_file(), rel
+        message = (
+            "fair-comparison violation: knn evaluated 149 documents, "
+            "expected the shared 150-item test set"
+        )
+        knn = json.loads((run_dir / "reports" / "knn.json").read_text())
+        assert knn == {"name": "knn", "category": "baseline", "status": "error", "error": message}
+        statuses = {
+            name: res["status"]
+            for name, res in json.loads((run_dir / "report.json").read_text())["predictors"].items()
+        }
+        assert statuses == {"mnb": "ok", "knn": "error", "mock-llm": "ok"}
+        assert f"- knn: {message}" in (run_dir / "report.md").read_text()
 
     def test_cli_reports_reused_run_id(self, fixture_corpus_path, tmp_path, capsys):
         config_path = tmp_path / "config.json"

@@ -1,0 +1,148 @@
+"""The sparse CART search against the dense reference grower in dense_cart.py.
+
+Both must grow the same trees node for node, with bit-equal thresholds and
+distributions, and route rows to the same leaves. The trainers and the
+forest's predict_proba must never densify their input.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import sparse
+
+from dense_cart import dense_forest, dense_predict_proba
+from zsbench.baselines import train_dt, train_rf
+from zsbench.baselines.common import encode_labels
+from zsbench.dataset import LabelSchema, load_corpus, stratified_split
+from zsbench.features import fit_vectorizer
+from zsbench.preprocess import CleaningPolicy, preprocess_corpus
+
+DATA = Path(__file__).parent / "data"
+SCHEMA3 = LabelSchema("t3", ["a", "b", "c"])
+
+# few distinct values make ties between thresholds and between features common
+TIED_VALUES = st.sampled_from([-1.5, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0])
+VALUES = TIED_VALUES | st.floats(-4, 4, allow_nan=False, allow_infinity=False, width=16)
+
+
+def exact_nodes(root) -> list[tuple]:
+    """Preorder (feature, threshold bits, n_samples, distribution bits) of a tree."""
+    out, pending = [], [root]
+    while pending:
+        node = pending.pop()
+        threshold = None if node.is_leaf else node.threshold.hex()
+        out.append((node.feature, threshold, node.n_samples, node.distribution.tobytes()))
+        if not node.is_leaf:
+            pending += [node.right, node.left]
+    return out
+
+
+def assert_same_forest(model, reference, queries: sparse.csr_matrix) -> None:
+    assert [exact_nodes(t) for t in model.trees] == [exact_nodes(t) for t in reference]
+    expected = dense_predict_proba(reference, queries.toarray())
+    assert np.array_equal(model.predict_proba(queries), expected)
+
+
+@st.composite
+def sparse_problems(draw):
+    """(dense matrix, CSR with stored zeros, labels): values may be negative,
+    some stored entries hold 0 and some columns store nothing."""
+    n = draw(st.integers(2, 24))
+    v = draw(st.integers(1, 6))
+    values = draw(hnp.arrays(np.float64, (n, v), elements=VALUES))
+    stored = draw(hnp.arrays(np.bool_, (n, v)))
+    for col in draw(st.lists(st.integers(0, v - 1), max_size=2)):
+        stored[:, col] = False
+    rows, cols = np.nonzero(stored)
+    x = sparse.csr_matrix((values[rows, cols], (rows, cols)), shape=(n, v))
+    y = draw(hnp.arrays(np.intp, n, elements=st.integers(0, len(SCHEMA3) - 1)))
+    return np.where(stored, values, 0.0), x, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    problem=sparse_problems(),
+    min_leaf=st.integers(1, 3),
+    max_depth=st.integers(1, 5),
+    seed=st.integers(0, 2**31),
+)
+def test_dt_matches_dense_reference(problem, min_leaf, max_depth, seed):
+    xd, x, y = problem
+    labels = [SCHEMA3.labels[i] for i in y]
+    model = train_dt(x, labels, SCHEMA3, max_depth=max_depth, min_leaf=min_leaf)
+    reference = dense_forest(xd, y, len(SCHEMA3), 1, max_depth, min_leaf, "all", False, seed)
+    assert_same_forest(model, reference, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    problem=sparse_problems(),
+    min_leaf=st.integers(1, 3),
+    max_depth=st.integers(1, 5),
+    seed=st.integers(0, 2**31),
+)
+def test_rf_matches_dense_reference(problem, min_leaf, max_depth, seed):
+    xd, x, y = problem
+    labels = [SCHEMA3.labels[i] for i in y]
+    model = train_rf(
+        x, labels, SCHEMA3, n_trees=3, max_depth=max_depth, min_leaf=min_leaf,
+        feature_subsample="sqrt", bootstrap=True, seed=seed,
+    )
+    reference = dense_forest(xd, y, len(SCHEMA3), 3, max_depth, min_leaf, "sqrt", True, seed)
+    assert_same_forest(model, reference, x)
+
+
+@pytest.fixture(scope="module")
+def fixture_features():
+    """TF-IDF train and test matrices and train labels of the fixture corpus."""
+    schema = LabelSchema(
+        "e-commerce", ["Household", "Books", "Clothing & Accessories", "Electronics"]
+    )
+    corpus = load_corpus(DATA / "fixture_corpus.csv", "csv", "text", "category", schema)
+    train, test = stratified_split(corpus, 150, 42)
+    train_docs, _ = preprocess_corpus(train, CleaningPolicy())
+    test_docs, _ = preprocess_corpus(test, CleaningPolicy())
+    vectorizer = fit_vectorizer(train_docs)
+    labels = [doc.gold_label for doc in train.documents]
+    return vectorizer.transform_all(train_docs), vectorizer.transform_all(test_docs), labels, schema
+
+
+def test_fixture_corpus_trees_match_dense_reference(fixture_features):
+    x, x_test, labels, schema = fixture_features
+    xd, y = x.toarray(), encode_labels(labels, schema)
+    dt = train_dt(x, labels, schema, max_depth=16)
+    rf = train_rf(x, labels, schema, n_trees=50, max_depth=16, seed=7)
+    for model, reference in [
+        (dt, dense_forest(xd, y, len(schema), 1, 16, 1, "all", False, 0)),
+        (rf, dense_forest(xd, y, len(schema), 50, 16, 1, "sqrt", True, 7)),
+    ]:
+        assert_same_forest(model, reference, x_test)
+        assert not model.trees[0].is_leaf
+
+
+def test_trees_never_densify(fixture_features, monkeypatch):
+    x, x_test, labels, schema = fixture_features
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} densified")
+
+    formats = [sparse.csr_matrix, sparse.csc_matrix, sparse.coo_matrix,
+               sparse.csr_array, sparse.csc_array, sparse.coo_array]
+    for cls in {base for fmt in formats for base in fmt.__mro__}:
+        for method in ("toarray", "todense"):
+            if method in vars(cls):
+                monkeypatch.setattr(cls, method, refuse)
+    with pytest.raises(AssertionError, match="densified"):
+        x.toarray()
+
+    for model in [
+        train_dt(x, labels, schema, max_depth=8),
+        train_rf(x, labels, schema, n_trees=5, max_depth=8, seed=7),
+    ]:
+        assert model.predict_proba(x_test).shape == (x_test.shape[0], len(schema))
