@@ -2,7 +2,8 @@
 
 A provider takes the JSON request body and returns the assistant text.
 complete_chat wraps any provider with exponential backoff on retryable
-failures (transport errors, HTTP 429/5xx); authentication failures
+failures (transport errors, HTTP 429/5xx), waiting instead as long as a
+429 or 503 response's Retry-After header asks; authentication failures
 surface immediately.
 """
 
@@ -10,8 +11,11 @@ from __future__ import annotations
 
 import os
 import random
+import threading
 import time
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
+from email.utils import parsedate_to_datetime
 
 import requests
 
@@ -22,12 +26,20 @@ class GatewayError(Exception):
     """Base class for gateway failures."""
 
 
-class ProviderError(GatewayError):
-    """A provider call failed; `retryable` says whether backoff applies."""
+# total seconds complete_chat may sleep between the attempts of one request
+MAX_BACKOFF_S = 300.0
 
-    def __init__(self, message: str, retryable: bool):
+
+class ProviderError(GatewayError):
+    """A provider call failed; `retryable` says whether backoff applies.
+
+    `retry_after` is the wait in seconds the server asked for, if any.
+    """
+
+    def __init__(self, message: str, retryable: bool, retry_after: float | None = None):
         super().__init__(message)
         self.retryable = retryable
+        self.retry_after = retry_after
 
 
 class AuthenticationError(ProviderError):
@@ -99,11 +111,29 @@ def build_request_body(bundle: PromptBundle, config: LlmRunConfig) -> dict:
     return body
 
 
+def _parse_retry_after(value: str | None) -> float | None:
+    """Seconds to wait from a Retry-After header (RFC 9110 10.2.3): either
+    delay-seconds or an HTTP-date. None when absent or malformed."""
+    if value is None:
+        return None
+    value = value.strip()
+    if value.isascii() and value.isdigit():
+        return float(value)
+    try:
+        when = parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return None
+    if when.tzinfo is None:  # "-0000": UTC with no source zone
+        when = when.replace(tzinfo=timezone.utc)
+    return max(0.0, (when - datetime.now(timezone.utc)).total_seconds())
+
+
 class HttpProvider:
     """POSTs chat-completion bodies to an OpenAI-compatible endpoint.
 
     The bearer token is read from the named environment variable; it is
-    never stored in configs or logs.
+    never stored in configs or logs. Each calling thread gets its own
+    requests.Session, which is not documented as thread-safe.
     """
 
     def __init__(
@@ -115,7 +145,13 @@ class HttpProvider:
         self.endpoint = endpoint
         self.api_key_env = api_key_env
         self.timeout_s = timeout_s
-        self._session = requests.Session()
+        self._local = threading.local()
+
+    def _session(self) -> requests.Session:
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
+        return session
 
     def complete(self, body: dict) -> tuple[str, dict]:
         """Returns (assistant_text, metadata). Raises ProviderError."""
@@ -129,7 +165,7 @@ class HttpProvider:
             "Content-Type": "application/json",
         }
         try:
-            resp = self._session.post(
+            resp = self._session().post(
                 self.endpoint, json=body, headers=headers, timeout=self.timeout_s
             )
         except requests.RequestException as exc:
@@ -137,7 +173,12 @@ class HttpProvider:
 
         if resp.status_code in (401, 403):
             raise AuthenticationError(f"authentication failed (HTTP {resp.status_code})")
-        if resp.status_code == 429 or resp.status_code >= 500:
+        if resp.status_code in (429, 503):
+            retry_after = _parse_retry_after(resp.headers.get("Retry-After"))
+            raise ProviderError(
+                f"HTTP {resp.status_code}", retryable=True, retry_after=retry_after
+            )
+        if resp.status_code >= 500:
             raise ProviderError(f"HTTP {resp.status_code}", retryable=True)
         if resp.status_code != 200:
             raise ProviderError(f"HTTP {resp.status_code}: {resp.text[:200]}", retryable=False)
@@ -155,9 +196,15 @@ class HttpProvider:
 
 
 def complete_chat(bundle: PromptBundle, config: LlmRunConfig, provider) -> LlmResponse:
-    """Send one request, retrying retryable failures with doubling backoff + jitter."""
+    """Send one request, retrying retryable failures with doubling backoff + jitter.
+
+    A failure that carries `retry_after` waits that long instead (plus the
+    jitter, so never less). Retries stop early, with RetriesExhaustedError,
+    when the next wait would take this request's total past MAX_BACKOFF_S.
+    """
     attempts = config.max_retries + 1
     last: Exception | None = None
+    slept = 0.0
     for attempt in range(attempts):
         start = time.monotonic()
         try:
@@ -167,8 +214,14 @@ def complete_chat(bundle: PromptBundle, config: LlmRunConfig, provider) -> LlmRe
                 raise
             last = exc
             if attempt + 1 < attempts:
-                delay = config.backoff_base_s * (2.0**attempt)
-                time.sleep(delay * (1.0 + random.uniform(0.0, 0.1)))
+                delay = exc.retry_after
+                if delay is None:
+                    delay = config.backoff_base_s * (2.0**attempt)
+                delay *= 1.0 + random.uniform(0.0, 0.1)
+                if slept + delay > MAX_BACKOFF_S:
+                    raise RetriesExhaustedError(attempt + 1, exc)
+                time.sleep(delay)
+                slept += delay
             continue
         return LlmResponse(
             raw_text=text,

@@ -5,6 +5,12 @@ schema, or truncate mid-object. Extraction finds the first balanced
 top-level {...} region (string-escape aware); resolution matches entries
 against the batch and schema, recording every repair in diagnostics and
 never guessing a label.
+
+Extraction costs O(len(raw)) whatever the input: a scan begun at any `{`
+is, at each character, outside a string, inside one, or just after a
+backslash inside one, and scans in the same state behave alike from then
+on. One pass therefore tracks three stacks of open-brace levels, each level
+holding the lowest start still open at that depth.
 """
 
 from __future__ import annotations
@@ -59,41 +65,52 @@ class ParsedLabels:
     diagnostics: ParseDiagnostics = field(default_factory=ParseDiagnostics)
 
 
+def _merge(a: list[int], b: list[int]) -> list[int]:
+    """Levels of two groups of scans now in one state, aligned from the top;
+    the lower start survives at each level."""
+    if len(a) < len(b):
+        a, b = b, a
+    if b:
+        k = len(a) - len(b)
+        a[k:] = map(min, a[k:], b)
+    return a
+
+
 def extract_json_payload(raw: str) -> tuple[str, bool]:
     """Return (first balanced top-level {...} region, prose_stripped).
 
-    Scans candidate opening braces left to right, tracking JSON string
-    boundaries and escapes so braces inside strings don't count.
+    The region is the one whose opening brace comes first among all that
+    close, with braces inside JSON strings not counting. Every `{` opens a
+    level for the scans outside a string and starts a scan of its own; a
+    `}` outside a string closes the innermost level, and that level's start
+    has found its region.
     """
-    for start in range(len(raw)):
-        if raw[start] != "{":
+    outside: list[int] = []  # open levels per scanner state, innermost last
+    inside: list[int] = []
+    escaped: list[int] = []
+    best: tuple[int, int] | None = None
+    for pos, ch in enumerate(raw):
+        if ch == '"':
+            outside, inside, escaped = inside, _merge(outside, escaped), []
             continue
-        depth = 0
-        in_string = False
-        escaped = False
-        for pos in range(start, len(raw)):
-            ch = raw[pos]
-            if escaped:
-                escaped = False
-                continue
-            if in_string:
-                if ch == "\\":
-                    escaped = True
-                elif ch == '"':
-                    in_string = False
-                continue
-            if ch == '"':
-                in_string = True
-            elif ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    payload = raw[start : pos + 1]
-                    stripped = bool(raw[:start].strip()) or bool(raw[pos + 1 :].strip())
-                    return payload, stripped
-        # unbalanced from this opening brace; try the next one
-    raise PayloadError("no JSON object found in response")
+        if ch == "\\":
+            inside, escaped = escaped, inside
+            continue
+        if escaped:
+            inside, escaped = _merge(inside, escaped), []
+        if ch == "{":
+            outside.append(pos)
+        elif ch == "}" and outside:
+            start = outside.pop()
+            if best is None or start < best[0]:
+                best = (start, pos)
+            if not (outside or inside):  # `escaped` is always empty here
+                break  # no earlier start is still open
+    if best is None:
+        raise PayloadError("no JSON object found in response")
+    start, end = best
+    stripped = bool(raw[:start].strip()) or bool(raw[end + 1 :].strip())
+    return raw[start : end + 1], stripped
 
 
 def _parse_index(key: str) -> int | None:

@@ -432,8 +432,9 @@ def _run_llm_variant(
     provider = _build_provider(spec, test.schema)
     audit = AuditLog(run_dir / "audit" / f"{entry_name}.jsonl")
     docs = list(test.documents)
-    if variant == "clean":
-        text_of = lambda doc: clean_for_prompt(doc.text, config.llm_cleaning)
+    if variant == "clean":  # once per entry: every repeat and re-ask sends the same text
+        cleaned = {doc.id: clean_for_prompt(doc.text, config.llm_cleaning) for doc in docs}
+        text_of = lambda doc: cleaned[doc.id]
     else:
         text_of = None
 

@@ -1,7 +1,15 @@
 from __future__ import annotations
 
-import pytest
+import json
+import threading
+from datetime import datetime, timedelta, timezone
+from email.utils import format_datetime
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import pytest
+import requests
+
+from zsbench.gateway import client
 from zsbench.gateway import (
     AuthenticationError,
     ECOMMERCE_TASK,
@@ -87,6 +95,7 @@ class _FakeResponse:
         self.status_code = status_code
         self._payload = payload
         self.text = text
+        self.headers = {}
 
     def json(self):
         if self._payload is None:
@@ -110,7 +119,7 @@ class TestHttpProvider:
         provider = HttpProvider(
             "https://api.example.com/v1/chat/completions", api_key_env="TEST_API_KEY"
         )
-        provider._session = _FakeSession(responses)
+        provider._local.session = _FakeSession(responses)
         return provider
 
     def test_parses_chat_completion(self, monkeypatch):
@@ -123,13 +132,13 @@ class TestHttpProvider:
         text, meta = provider.complete({"model": "m", "messages": []})
         assert text == '{"0": "Books"}'
         assert meta["model"] == "gpt-4-1106-preview"
-        sent = provider._session.requests[0]
+        sent = provider._local.session.requests[0]
         assert sent["headers"]["Authorization"] == "Bearer sk-test"
 
     def test_missing_api_key(self, monkeypatch):
         monkeypatch.delenv("ABSENT_KEY", raising=False)
         provider = HttpProvider("https://x/v1", api_key_env="ABSENT_KEY")
-        provider._session = _FakeSession([])
+        provider._local.session = _FakeSession([])
         with pytest.raises(AuthenticationError, match="ABSENT_KEY"):
             provider.complete({})
 
@@ -157,3 +166,170 @@ class TestHttpProvider:
         provider = self._provider([_FakeResponse(200, {"choices": []})], monkeypatch)
         with pytest.raises(ProviderError, match="malformed"):
             provider.complete({})
+
+
+COMPLETION = {"model": "local", "choices": [{"message": {"content": '{"0": "Books"}'}}]}
+
+
+class _LocalEndpoint:
+    """Chat endpoint on 127.0.0.1: replays (status, Retry-After) pairs, then 200s."""
+
+    def __init__(self, script=()):
+        self.script = list(script)
+        self.requests = 0
+        lock = threading.Lock()
+        endpoint = self
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            wbufsize = 1 << 16  # headers and body in one segment
+
+            def log_message(self, *args):
+                pass
+
+            def do_POST(self):
+                self.rfile.read(int(self.headers.get("Content-Length", 0)))
+                with lock:
+                    endpoint.requests += 1
+                    status, retry_after = (
+                        endpoint.script.pop(0) if endpoint.script else (200, None)
+                    )
+                data = json.dumps(COMPLETION if status == 200 else {"error": "busy"}).encode()
+                self.send_response(status)
+                if retry_after is not None:
+                    self.send_header("Retry-After", retry_after)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.server.daemon_threads = True
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
+        self.thread.start()
+        self.url = f"http://127.0.0.1:{self.server.server_address[1]}/v1/chat/completions"
+
+    def close(self):
+        self.server.shutdown()
+        self.server.server_close()
+        self.thread.join()
+
+
+@pytest.fixture
+def local_endpoint(monkeypatch):
+    monkeypatch.setenv("TEST_API_KEY", "sk-test")
+    endpoints = []
+
+    def start(script=()):
+        endpoints.append(_LocalEndpoint(script))
+        return endpoints[-1]
+
+    yield start
+    for endpoint in endpoints:
+        endpoint.close()
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The waits complete_chat asks for, recorded instead of slept."""
+    recorded: list[float] = []
+    monkeypatch.setattr(client.time, "sleep", recorded.append)
+    return recorded
+
+
+class TestRetryAfter:
+    def _complete(self, endpoint, bundle, max_retries=3):
+        provider = HttpProvider(endpoint.url, api_key_env="TEST_API_KEY")
+        config = LlmRunConfig(model="m", max_retries=max_retries, backoff_base_s=0.5)
+        return complete_chat(bundle, config, provider)
+
+    def test_delay_seconds_on_429(self, bundle, local_endpoint, sleeps):
+        endpoint = local_endpoint([(429, "7")])
+        response = self._complete(endpoint, bundle)
+        assert response.raw_text == '{"0": "Books"}'
+        assert response.retries == 1
+        assert len(sleeps) == 1 and 7.0 <= sleeps[0] <= 7.7
+
+    def test_http_date_on_503(self, bundle, local_endpoint, sleeps):
+        when = datetime.now(timezone.utc) + timedelta(seconds=30)
+        endpoint = local_endpoint([(503, format_datetime(when, usegmt=True))])
+        response = self._complete(endpoint, bundle)
+        assert response.retries == 1
+        assert len(sleeps) == 1 and 27.0 <= sleeps[0] <= 33.0
+
+    def test_past_http_date_retries_at_once(self, bundle, local_endpoint, sleeps):
+        endpoint = local_endpoint([(503, "Sun, 06 Nov 1994 08:49:37 GMT")])
+        assert self._complete(endpoint, bundle).retries == 1
+        assert sleeps == [0.0]
+
+    @pytest.mark.parametrize("header", ["soon", "-5", "1.5", "", None])
+    def test_malformed_or_absent_header_falls_back_to_doubling(
+        self, bundle, local_endpoint, sleeps, header
+    ):
+        endpoint = local_endpoint([(429, header), (503, header)])
+        assert self._complete(endpoint, bundle).retries == 2
+        assert len(sleeps) == 2
+        assert 0.5 <= sleeps[0] <= 0.55 and 1.0 <= sleeps[1] <= 1.1
+
+    def test_error_carries_retry_after(self, local_endpoint):
+        endpoint = local_endpoint([(429, "12"), (503, "bogus")])
+        provider = HttpProvider(endpoint.url, api_key_env="TEST_API_KEY")
+        for expected in (12.0, None):
+            with pytest.raises(ProviderError) as exc_info:
+                provider.complete({"model": "m", "messages": []})
+            assert exc_info.value.retryable is True
+            assert exc_info.value.retry_after == expected
+
+    def test_total_backoff_capped(self, bundle, local_endpoint, sleeps):
+        # the second wait would take the total past the cap: stop, do not sleep it
+        wait = client.MAX_BACKOFF_S * 0.6
+        endpoint = local_endpoint([(429, str(int(wait)))] * 3)
+        with pytest.raises(RetriesExhaustedError, match="after 2 attempts") as exc_info:
+            self._complete(endpoint, bundle)
+        assert endpoint.requests == 2
+        assert len(sleeps) == 1 and sum(sleeps) <= client.MAX_BACKOFF_S
+        assert exc_info.value.last.retry_after == int(wait)
+
+    def test_wait_beyond_cap_sends_no_second_request(self, bundle, local_endpoint, sleeps):
+        endpoint = local_endpoint([(503, "86400")])
+        with pytest.raises(RetriesExhaustedError, match="after 1 attempts"):
+            self._complete(endpoint, bundle)
+        assert endpoint.requests == 1
+        assert sleeps == []
+
+
+class TestSessions:
+    def test_each_thread_gets_its_own_session(self, local_endpoint, monkeypatch):
+        used: list[tuple[str, requests.Session]] = []
+
+        class RecordingSession(requests.Session):
+            def post(self, *args, **kwargs):
+                used.append((threading.current_thread().name, self))
+                return super().post(*args, **kwargs)
+
+        monkeypatch.setattr(client.requests, "Session", RecordingSession)
+        endpoint = local_endpoint()
+        provider = HttpProvider(endpoint.url, api_key_env="TEST_API_KEY")
+        both_started = threading.Barrier(2, timeout=10)
+        errors = []
+
+        def worker():
+            try:
+                provider.complete({"model": "m", "messages": []})
+                both_started.wait()  # both threads are alive with a session each
+                provider.complete({"model": "m", "messages": []})
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, name=f"w{i}") for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        sessions = {name: {id(s) for n, s in used if n == name} for name in ("w0", "w1")}
+        assert all(len(ids) == 1 for ids in sessions.values())
+        assert sessions["w0"] != sessions["w1"]
+        assert len(used) == 4

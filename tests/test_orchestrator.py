@@ -310,6 +310,17 @@ class TestRunExperiment:
         assert result.predictors["mock-llm"].status == "ok"
         assert preprocessed == [] and fits == []
 
+    def test_clean_llm_text_once_per_document(self, fixture_corpus_path, tmp_path, monkeypatch):
+        cleaned = self._count_calls(monkeypatch, "clean_for_prompt")
+        raw = minimal_config(
+            fixture_corpus_path,
+            tmp_path,
+            predictors=[mock_llm_predictor(text_variant="clean", repeat_count=3)],
+        )
+        result = run_experiment(validate_config(raw), run_id="clean-once")
+        assert len(result.predictors["mock-llm"].runs) == 3
+        assert len(cleaned) == len(result.test_ids) == 150
+
     def test_feature_failure_fails_every_baseline(self, fixture_corpus_path, tmp_path, monkeypatch):
         fits = self._count_calls(monkeypatch, "fit_vectorizer")
         raw = minimal_config(

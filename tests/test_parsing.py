@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import json
 import random
+import signal
 import string
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rescan_extract
 from zsbench.dataset import LabelSchema
 from zsbench.gateway import (
     ParsedLabels,
@@ -21,8 +24,39 @@ from zsbench.gateway import (
 MALFORMED = Path(__file__).parent / "data" / "malformed_responses.jsonl"
 
 
+# the perfbench stub's "long" reply: unbalanced braces, prose, then the answer
+STUB_LONG_REPLY = (
+    "{" * 1500 + ' Sorry, the format slipped. Here it is: {"0": "Books", "1": "Household"}'
+)
+MIB = 1 << 20
+LINEAR_BOUND_S = 10.0  # one pass over 1 MiB takes well under 1 s; the rescan takes hours
+
+
 def load_malformed_cases() -> list[dict]:
     return [json.loads(line) for line in MALFORMED.read_text().splitlines() if line.strip()]
+
+
+def _outcome(extract, raw: str):
+    try:
+        return extract(raw)
+    except PayloadError as exc:
+        return ("PayloadError", str(exc))
+
+
+@contextmanager
+def _time_limit(seconds: float):
+    """Raise TimeoutError in the block once `seconds` of wall time have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestExtractJsonPayload:
@@ -62,6 +96,28 @@ class TestExtractJsonPayload:
         payload, stripped = extract_json_payload('   {"1": "x"}  \n')
         assert payload == '{"1": "x"}'
         assert stripped is False
+
+    @settings(max_examples=1000, deadline=None)
+    @given(raw=st.text(alphabet='{}"\\ a', max_size=24))
+    @example(raw=STUB_LONG_REPLY)
+    @example(raw='{"a\\"} "}')  # escaped quote: the string runs on past the brace
+    @example(raw='{"a\\\\"}')  # escaped backslash: the quote closes the string
+    @example(raw='{"{\\""}')  # a merge of two groups must keep the lower start
+    def test_matches_rescan_oracle(self, raw):
+        assert _outcome(extract_json_payload, raw) == _outcome(
+            rescan_extract.extract_json_payload, raw
+        )
+
+    @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM timers")
+    @pytest.mark.parametrize("unit", ["{", '{"'], ids=["braces", "brace-quotes"])
+    def test_one_mib_adversarial_reply_within_bound(self, unit):
+        raw = unit * (MIB // len(unit))
+        with _time_limit(LINEAR_BOUND_S):
+            with pytest.raises(PayloadError, match="no JSON object"):
+                extract_json_payload(raw)
+            payload, stripped = extract_json_payload(raw + ' {"0": "spam"}')
+        assert payload == '{"0": "spam"}'
+        assert stripped is True
 
 
 class TestResolveLabels:
