@@ -86,6 +86,7 @@ def _audit_record(meta, batch_no, phase, doc_ids, body, response, parsed: Parsed
             "latency_s": response.latency_s,
             "model": response.model,
             "retries": response.retries,
+            "token_usage": response.token_usage,
         },
         "parsed": {
             "resolved": {str(k): v for k, v in sorted(parsed.resolved.items())},

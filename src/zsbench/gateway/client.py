@@ -10,8 +10,8 @@ surface immediately.
 from __future__ import annotations
 
 import os
+import queue
 import random
-import threading
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -132,8 +132,10 @@ class HttpProvider:
     """POSTs chat-completion bodies to an OpenAI-compatible endpoint.
 
     The bearer token is read from the named environment variable; it is
-    never stored in configs or logs. Each calling thread gets its own
-    requests.Session, which is not documented as thread-safe.
+    never stored in configs or logs. requests.Session is not documented as
+    thread-safe, so each request checks an idle session out of a pool and
+    back in when done. No two requests in flight share a session, and the
+    sessions outlive the threads that used them.
     """
 
     def __init__(
@@ -145,13 +147,7 @@ class HttpProvider:
         self.endpoint = endpoint
         self.api_key_env = api_key_env
         self.timeout_s = timeout_s
-        self._local = threading.local()
-
-    def _session(self) -> requests.Session:
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = self._local.session = requests.Session()
-        return session
+        self._idle: queue.SimpleQueue[requests.Session] = queue.SimpleQueue()
 
     def complete(self, body: dict) -> tuple[str, dict]:
         """Returns (assistant_text, metadata). Raises ProviderError."""
@@ -165,11 +161,17 @@ class HttpProvider:
             "Content-Type": "application/json",
         }
         try:
-            resp = self._session().post(
+            session = self._idle.get_nowait()
+        except queue.Empty:
+            session = requests.Session()
+        try:
+            resp = session.post(
                 self.endpoint, json=body, headers=headers, timeout=self.timeout_s
             )
         except requests.RequestException as exc:
             raise ProviderError(f"transport error: {exc}", retryable=True) from exc
+        finally:
+            self._idle.put(session)
 
         if resp.status_code in (401, 403):
             raise AuthenticationError(f"authentication failed (HTTP {resp.status_code})")

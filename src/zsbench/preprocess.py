@@ -94,13 +94,23 @@ def clean_text(text: str, policy: CleaningPolicy) -> str:
     return _WS_RE.sub(" ", text).strip().lower()
 
 
-def normalize_tokens(text: str, policy: CleaningPolicy) -> list[str]:
-    """Tokenize cleaned text, dropping stop words and stemming per policy."""
+def normalize_tokens(
+    text: str, policy: CleaningPolicy, stems: dict[str, str] | None = None
+) -> list[str]:
+    """Tokenize cleaned text, dropping stop words and stemming per policy.
+
+    `stems` maps tokens already stemmed to their stems; calls that share it
+    stem each distinct token once.
+    """
     tokens = text.lower().split()
     if policy.remove_stopwords:
         tokens = [t for t in tokens if t not in STOPWORDS]
     if policy.apply_stemming:
-        tokens = [stem(t) for t in tokens]
+        stems = {} if stems is None else stems
+        for t in tokens:
+            if t not in stems:
+                stems[t] = stem(t)
+        tokens = [stems[t] for t in tokens]
     return tokens
 
 
@@ -113,8 +123,9 @@ def preprocess_corpus(
     """
     cleaned = []
     n_empty = 0
+    stems: dict[str, str] = {}
     for doc in corpus.documents:
-        tokens = normalize_tokens(clean_text(doc.text, policy), policy)
+        tokens = normalize_tokens(clean_text(doc.text, policy), policy, stems)
         if not tokens:
             n_empty += 1
         cleaned.append(CleanedDocument(id=doc.id, tokens=tuple(tokens)))

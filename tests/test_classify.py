@@ -199,6 +199,24 @@ class TestAuditLog:
         phases = {json.loads(line)["phase"] for line in lines}
         assert phases == {"initial", "re_ask"}
 
+    def test_token_usage_round_trips(self, tmp_path, ecommerce_schema):
+        usage = {"prompt_tokens": 31, "completion_tokens": 4, "total_tokens": 35}
+
+        class MeteredProvider(ScriptedProvider):
+            def complete(self, body):
+                text, meta = super().complete(body)
+                return text, {**meta, "usage": usage}
+
+        audit = AuditLog(tmp_path / "audit.jsonl")
+        classify_corpus(
+            make_docs(["usb hub"]), ecommerce_schema, ECOMMERCE_TASK,
+            LlmRunConfig(model="m", **FAST), MeteredProvider(['{"0": "Electronics"}']),
+            audit=audit,
+        )
+        [(record, reparsed)] = replay_audit(tmp_path / "audit.jsonl", ecommerce_schema)
+        assert record["response"]["token_usage"] == usage
+        assert reparsed.resolved == {0: "Electronics"}
+
 
 class TestConcurrency:
     def test_results_independent_of_worker_count(self, ecommerce_schema):

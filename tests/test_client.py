@@ -9,6 +9,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 import requests
 
+from zsbench.dataset import Document
 from zsbench.gateway import client
 from zsbench.gateway import (
     AuthenticationError,
@@ -19,6 +20,7 @@ from zsbench.gateway import (
     RetriesExhaustedError,
     build_prompt,
     build_request_body,
+    classify_corpus,
     complete_chat,
 )
 from conftest import ScriptedProvider
@@ -119,7 +121,7 @@ class TestHttpProvider:
         provider = HttpProvider(
             "https://api.example.com/v1/chat/completions", api_key_env="TEST_API_KEY"
         )
-        provider._local.session = _FakeSession(responses)
+        provider._idle.put(_FakeSession(responses))
         return provider
 
     def test_parses_chat_completion(self, monkeypatch):
@@ -132,13 +134,13 @@ class TestHttpProvider:
         text, meta = provider.complete({"model": "m", "messages": []})
         assert text == '{"0": "Books"}'
         assert meta["model"] == "gpt-4-1106-preview"
-        sent = provider._local.session.requests[0]
+        sent = provider._idle.get_nowait().requests[0]
         assert sent["headers"]["Authorization"] == "Bearer sk-test"
 
     def test_missing_api_key(self, monkeypatch):
         monkeypatch.delenv("ABSENT_KEY", raising=False)
         provider = HttpProvider("https://x/v1", api_key_env="ABSENT_KEY")
-        provider._local.session = _FakeSession([])
+        provider._idle.put(_FakeSession([]))
         with pytest.raises(AuthenticationError, match="ABSENT_KEY"):
             provider.complete({})
 
@@ -301,35 +303,68 @@ class TestRetryAfter:
 
 
 class TestSessions:
-    def test_each_thread_gets_its_own_session(self, local_endpoint, monkeypatch):
-        used: list[tuple[str, requests.Session]] = []
+    @pytest.fixture
+    def recording_session(self, monkeypatch):
+        """Patches requests.Session to log each session built and each request it serves."""
+        log = {"built": [], "posts": [], "shared": [], "on_post": lambda: None}
+        in_flight: set[int] = set()
+        lock = threading.Lock()
 
         class RecordingSession(requests.Session):
+            def __init__(self):
+                super().__init__()
+                log["built"].append(self)
+
             def post(self, *args, **kwargs):
-                used.append((threading.current_thread().name, self))
-                return super().post(*args, **kwargs)
+                with lock:
+                    if id(self) in in_flight:
+                        log["shared"].append(self)
+                    in_flight.add(id(self))
+                    log["posts"].append(self)
+                try:
+                    log["on_post"]()
+                    return super().post(*args, **kwargs)
+                finally:
+                    with lock:
+                        in_flight.discard(id(self))
 
         monkeypatch.setattr(client.requests, "Session", RecordingSession)
+        return log
+
+    def test_concurrent_requests_never_share_a_session(self, local_endpoint, recording_session):
+        both_in_flight = threading.Barrier(2, timeout=10)
+        recording_session["on_post"] = both_in_flight.wait
         endpoint = local_endpoint()
         provider = HttpProvider(endpoint.url, api_key_env="TEST_API_KEY")
-        both_started = threading.Barrier(2, timeout=10)
         errors = []
 
         def worker():
             try:
-                provider.complete({"model": "m", "messages": []})
-                both_started.wait()  # both threads are alive with a session each
-                provider.complete({"model": "m", "messages": []})
+                for _ in range(2):
+                    provider.complete({"model": "m", "messages": []})
             except Exception as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
 
-        threads = [threading.Thread(target=worker, name=f"w{i}") for i in range(2)]
+        threads = [threading.Thread(target=worker) for _ in range(2)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
         assert errors == []
-        sessions = {name: {id(s) for n, s in used if n == name} for name in ("w0", "w1")}
-        assert all(len(ids) == 1 for ids in sessions.values())
-        assert sessions["w0"] != sessions["w1"]
-        assert len(used) == 4
+        assert len(recording_session["posts"]) == 4
+        assert recording_session["shared"] == []
+        # each round had two requests in flight; the second reused the first's sessions
+        assert len(recording_session["built"]) == 2
+
+    def test_sessions_outlive_classify_repeats(
+        self, local_endpoint, recording_session, ecommerce_schema
+    ):
+        endpoint = local_endpoint()
+        provider = HttpProvider(endpoint.url, api_key_env="TEST_API_KEY")
+        docs = [Document(id=i, text=f"item {i}", gold_label=None) for i in range(8)]
+        config = LlmRunConfig(model="m", batch_size=2, concurrency=2, **FAST)
+        for _ in range(5):
+            classify_corpus(docs, ecommerce_schema, ECOMMERCE_TASK, config, provider)
+        assert endpoint.requests >= 20
+        assert recording_session["shared"] == []
+        assert 1 <= len(recording_session["built"]) <= 2
