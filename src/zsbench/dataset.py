@@ -106,12 +106,6 @@ class LabeledCorpus:
     def __len__(self) -> int:
         return len(self.documents)
 
-    def __iter__(self):
-        return iter(self.documents)
-
-    def ids(self) -> set[int]:
-        return {doc.id for doc in self.documents}
-
 
 def _iter_records(path: Path, fmt: str):
     """Yield (line_number, record_dict) pairs from a csv or jsonl file."""

@@ -16,60 +16,41 @@ from collections import Counter
 import numpy as np
 from scipy import sparse
 
-from .preprocess import CleanedDocument
-
 
 class FeatureError(ValueError):
     """Raised for unusable training input."""
 
 
 class Vectorizer:
-    """Fitted TF-IDF vectorizer. Immutable once constructed."""
+    """Fitted TF-IDF vectorizer: term -> column, and the idf of each column."""
 
-    def __init__(
-        self,
-        vocabulary: dict[str, int],
-        doc_freq: dict[str, int],
-        n_train_docs: int,
-        l2_normalize: bool,
-    ):
-        self._vocabulary = dict(vocabulary)
+    def __init__(self, vocabulary: dict[str, int], idf: np.ndarray, l2_normalize: bool):
+        self.vocabulary = vocabulary
+        self.idf = idf
         self.l2_normalize = l2_normalize
-        self._idf = np.zeros(len(vocabulary))
-        for term, idx in self._vocabulary.items():
-            self._idf[idx] = math.log((1 + n_train_docs) / (1 + doc_freq[term])) + 1.0
 
     @property
     def dim(self) -> int:
-        return len(self._vocabulary)
+        return len(self.vocabulary)
 
-    @property
-    def vocabulary(self) -> dict[str, int]:
-        return dict(self._vocabulary)
-
-    def idf(self, term: str) -> float:
-        if term not in self._vocabulary:
-            raise KeyError(term)
-        return float(self._idf[self._vocabulary[term]])
-
-    def transform_all(self, docs: list[CleanedDocument]) -> sparse.csr_matrix:
-        """TF-IDF rows for the documents, in input order.
+    def transform_all(self, docs: list[list[str]]) -> sparse.csr_matrix:
+        """TF-IDF rows for the token lists, in input order.
 
         Out-of-vocabulary tokens are ignored, so all-OOV or empty documents
         yield zero rows.
         """
-        vocab = self._vocabulary
+        vocab = self.vocabulary
         indices: list[int] = []
         counts: list[int] = []
         indptr = [0]
         for doc in docs:
-            row = Counter(vocab[t] for t in doc.tokens if t in vocab)
+            row = Counter(vocab[t] for t in doc if t in vocab)
             terms = sorted(row)
             indices.extend(terms)
             counts.extend(row[t] for t in terms)
             indptr.append(len(indices))
         cols = np.array(indices, dtype=np.int32)
-        data = np.array(counts, dtype=float) * self._idf[cols]
+        data = np.array(counts, dtype=float) * self.idf[cols]
         if self.l2_normalize:
             for start, end in zip(indptr, indptr[1:]):
                 if end > start:
@@ -80,7 +61,7 @@ class Vectorizer:
 
 
 def fit_vectorizer(
-    train_docs: list[CleanedDocument], min_df: int = 2, l2_normalize: bool = True
+    train_docs: list[list[str]], min_df: int = 2, l2_normalize: bool = True
 ) -> Vectorizer:
     """Build the vocabulary and IDF table from training documents only.
 
@@ -91,20 +72,16 @@ def fit_vectorizer(
         raise FeatureError(f"min_df must be positive, got {min_df}")
     if not train_docs:
         raise FeatureError("empty training set")
-    if all(not doc.tokens for doc in train_docs):
+    if all(not doc for doc in train_docs):
         raise FeatureError("all training documents are empty")
 
     doc_freq: Counter[str] = Counter()
     for doc in train_docs:
-        doc_freq.update(set(doc.tokens))
+        doc_freq.update(set(doc))
     kept = sorted(t for t, df in doc_freq.items() if df >= min_df)
     if not kept:
         raise FeatureError(f"all terms pruned at min_df={min_df}")
 
-    return Vectorizer(
-        vocabulary={term: i for i, term in enumerate(kept)},
-        doc_freq={t: doc_freq[t] for t in kept},
-        n_train_docs=len(train_docs),
-        l2_normalize=l2_normalize,
-    )
-
+    n = len(train_docs)
+    idf = np.array([math.log((1 + n) / (1 + doc_freq[t])) + 1.0 for t in kept])
+    return Vectorizer({term: i for i, term in enumerate(kept)}, idf, l2_normalize)

@@ -20,7 +20,7 @@ from .client import (
     build_request_body,
     complete_chat,
 )
-from .mock import KeywordRuleProvider, apply_keyword_rule
+from .mock import KeywordRuleProvider
 from .parsing import (
     ParseDiagnostics,
     ParsedLabels,
@@ -30,7 +30,6 @@ from .parsing import (
     resolve_labels,
 )
 from .prompts import (
-    ECOMMERCE_TASK,
     PromptBundle,
     PromptError,
     TaskDescription,
@@ -42,7 +41,6 @@ __all__ = [
     "AuditLog",
     "AuthenticationError",
     "ClassificationAborted",
-    "ECOMMERCE_TASK",
     "GatewayError",
     "HttpProvider",
     "KeywordRuleProvider",
@@ -57,7 +55,6 @@ __all__ = [
     "ProviderError",
     "RetriesExhaustedError",
     "TaskDescription",
-    "apply_keyword_rule",
     "build_instruction",
     "build_prompt",
     "build_request_body",

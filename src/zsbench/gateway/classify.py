@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from ..dataset import Document, LabelSchema
+from ..dataset import LabelSchema
 from .client import GatewayError, LlmRunConfig, build_request_body, complete_chat
 from .parsing import ParseDiagnostics, ParsedLabels, parse_classification
 from .prompts import TaskDescription, build_prompt
@@ -66,14 +66,6 @@ class LlmClassification:
         return [i for i in self.doc_ids if i not in self.resolved]
 
 
-@dataclass
-class _BatchOutcome:
-    resolved: dict[int, str] = field(default_factory=dict)
-    diagnostics: ParseDiagnostics = field(default_factory=ParseDiagnostics)
-    n_requests: int = 0
-    n_reasks: int = 0
-
-
 def _audit_record(meta, batch_no, phase, doc_ids, body, response, parsed: ParsedLabels) -> dict:
     return {
         **meta,
@@ -96,71 +88,54 @@ def _audit_record(meta, batch_no, phase, doc_ids, body, response, parsed: Parsed
 
 
 def classify_corpus(
-    docs: list[Document],
+    items: list[tuple[int, str]],
     schema: LabelSchema,
     task: TaskDescription,
     config: LlmRunConfig,
     provider,
     audit: AuditLog | None = None,
     audit_meta: dict | None = None,
-    text_of=None,
 ) -> LlmClassification:
-    """Classify every document, preserving input order in the result.
+    """Classify every (doc id, text) pair, preserving input order in the result.
 
-    `text_of` maps a document to the string sent to the model (defaults to
-    the raw text). Batches run with up to `config.concurrency` requests in
-    flight; results are reassembled in batch order. The first permanent
-    failure aborts the run: batches not yet started are cancelled and send
-    no request.
+    Batches run with up to `config.concurrency` requests in flight; results
+    are reassembled in batch order. The first permanent failure aborts the
+    run: batches not yet started are cancelled and send no request.
     """
-    if not docs:
+    if not items:
         raise GatewayError("no documents to classify")
-    text_of = text_of if text_of is not None else (lambda doc: doc.text)
     meta = dict(audit_meta or {})
 
     batches = [
-        docs[i : i + config.batch_size] for i in range(0, len(docs), config.batch_size)
+        items[i : i + config.batch_size] for i in range(0, len(items), config.batch_size)
     ]
 
-    def run_batch(batch_no: int) -> _BatchOutcome:
-        batch = batches[batch_no]
-        outcome = _BatchOutcome()
-        pairs = [(doc.id, text_of(doc)) for doc in batch]
-        bundle = build_prompt(schema, task, pairs)
-        response = complete_chat(bundle, config, provider)
-        outcome.n_requests += 1
-        parsed = parse_classification(response.raw_text, bundle.batch_indices, schema)
-        if audit is not None:
-            audit.append(
-                _audit_record(
-                    meta, batch_no, "initial", bundle.batch_indices,
-                    build_request_body(bundle, config), response, parsed,
-                )
-            )
-        outcome.resolved.update(parsed.resolved)
-        outcome.diagnostics.merge(parsed.diagnostics)
-
-        unresolved = [(i, t) for i, t in pairs if i not in outcome.resolved]
-        if unresolved:
-            re_bundle = build_prompt(schema, task, unresolved)
-            re_response = complete_chat(re_bundle, config, provider)
-            outcome.n_requests += 1
-            outcome.n_reasks += 1
-            re_parsed = parse_classification(
-                re_response.raw_text, re_bundle.batch_indices, schema
-            )
+    def run_batch(batch_no: int) -> tuple[ParsedLabels, int]:
+        """The batch's merged labels and its request count: one request, then
+        one re-ask listing only the entries the first left unresolved."""
+        pending = batches[batch_no]
+        merged = ParsedLabels()
+        n_requests = 0
+        for phase in ("initial", "re_ask"):
+            bundle = build_prompt(schema, task, pending)
+            response = complete_chat(bundle, config, provider)
+            n_requests += 1
+            parsed = parse_classification(response.raw_text, bundle.batch_indices, schema)
             if audit is not None:
                 audit.append(
                     _audit_record(
-                        meta, batch_no, "re_ask", re_bundle.batch_indices,
-                        build_request_body(re_bundle, config), re_response, re_parsed,
+                        meta, batch_no, phase, bundle.batch_indices,
+                        build_request_body(bundle, config), response, parsed,
                     )
                 )
-            outcome.resolved.update(re_parsed.resolved)
-            outcome.diagnostics.merge(re_parsed.diagnostics)
-        return outcome
+            merged.resolved.update(parsed.resolved)
+            merged.diagnostics.merge(parsed.diagnostics)
+            pending = [(i, t) for i, t in pending if i not in merged.resolved]
+            if not pending:
+                break
+        return merged, n_requests
 
-    outcomes: list[_BatchOutcome | None] = [None] * len(batches)
+    outcomes: list[tuple[ParsedLabels, int] | None] = [None] * len(batches)
     doomed = threading.Event()
 
     def run_guarded(batch_no: int) -> None:
@@ -186,22 +161,20 @@ def classify_corpus(
 
     resolved: dict[int, str] = {}
     diagnostics = ParseDiagnostics()
-    n_requests = 0
-    n_reasks = 0
-    for outcome in outcomes:
-        resolved.update(outcome.resolved)
-        diagnostics.merge(outcome.diagnostics)
-        n_requests += outcome.n_requests
-        n_reasks += outcome.n_reasks
+    for parsed, _ in outcomes:
+        resolved.update(parsed.resolved)
+        diagnostics.merge(parsed.diagnostics)
     # after re-asks, "missing" means finally unresolved, not per-parse gaps
-    diagnostics.missing_index = len(docs) - len(resolved)
+    diagnostics.missing_index = len(items) - len(resolved)
+    n_requests = sum(n for _, n in outcomes)
 
     return LlmClassification(
-        doc_ids=tuple(doc.id for doc in docs),
+        doc_ids=tuple(i for i, _ in items),
         resolved=resolved,
         diagnostics=diagnostics,
         n_requests=n_requests,
-        n_reasks=n_reasks,
+        # each batch sends one request and at most one re-ask
+        n_reasks=n_requests - len(batches),
     )
 
 

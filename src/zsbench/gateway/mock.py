@@ -10,27 +10,12 @@ from ..dataset import LabelSchema
 _PAYLOAD_LINE_RE = re.compile(r"^(\d+)\.\s(.*)$")
 
 
-def apply_keyword_rule(
-    text: str,
-    rules: dict[str, list[str]],
-    default_label: str,
-    label_order: tuple[str, ...],
-) -> str:
-    """First label (in `label_order`) with a case-insensitive keyword hit;
-    `default_label` when nothing matches."""
-    lowered = text.lower()
-    for label in label_order:
-        for keyword in rules.get(label, ()):
-            if keyword.lower() in lowered:
-                return label
-    return default_label
-
-
 class KeywordRuleProvider:
     """Deterministic stand-in for a chat endpoint.
 
     Reads the indexed documents out of the request's user message, labels
-    each with a keyword rule, and answers in the requested JSON format.
+    each with the first schema label that has a case-insensitive keyword hit
+    (`default_label` when none has), and answers in the requested JSON format.
     Optional `noise` wraps the JSON in prose, exercising the parser.
     """
 
@@ -56,9 +41,6 @@ class KeywordRuleProvider:
         self.noise = noise
         self.calls = 0
 
-    def classify_text(self, text: str) -> str:
-        return apply_keyword_rule(text, self.rules, self.default_label, self.schema.labels)
-
     def complete(self, body: dict) -> tuple[str, dict]:
         self.calls += 1
         user = next(
@@ -69,7 +51,15 @@ class KeywordRuleProvider:
         for line in user.splitlines():
             match = _PAYLOAD_LINE_RE.match(line)
             if match:
-                result[match.group(1)] = self.classify_text(match.group(2))
+                lowered = match.group(2).lower()
+                result[match.group(1)] = next(
+                    (
+                        label
+                        for label in self.schema.labels
+                        if any(k.lower() in lowered for k in self.rules.get(label, ()))
+                    ),
+                    self.default_label,
+                )
         reply = json.dumps(result)
         if self.noise:
             reply = f"Sure! Here are the categories: {reply} Hope that helps."

@@ -54,14 +54,6 @@ class TaskDescription:
         return cls(**data)
 
 
-ECOMMERCE_TASK = TaskDescription(
-    subject="e-commerce products",
-    item_singular="product",
-    item_plural="products",
-    venue="the e-commerce website",
-)
-
-
 @dataclass(frozen=True)
 class PromptBundle:
     """A fully rendered request: instruction, payload and batch indices."""

@@ -388,15 +388,20 @@ def _evaluate_llm_run(outcome, docs: list[Document], schema: LabelSchema) -> Eva
 
 def _build_features(train: LabeledCorpus, test: LabeledCorpus, config: ExperimentConfig):
     """The shared TF-IDF pass: (train matrix, test matrix, diagnostics), one
-    matrix row per document."""
-    train_docs, n_empty_train = preprocess_corpus(train, config.cleaning)
-    test_docs, n_empty_test = preprocess_corpus(test, config.cleaning)
+    matrix row per document. Train and test go through one preprocessing
+    call, so each distinct token is stemmed once per experiment."""
+    texts = [doc.text for doc in train.documents + test.documents]
+    tokens = preprocess_corpus(texts, config.cleaning)
+    train_docs, test_docs = tokens[: len(train)], tokens[len(train) :]
     vectorizer = fit_vectorizer(
         train_docs, min_df=config.min_df, l2_normalize=config.l2_normalize
     )
     diagnostics = {
         "vocabulary_size": vectorizer.dim,
-        "empty_after_cleaning": {"train": n_empty_train, "test": n_empty_test},
+        "empty_after_cleaning": {
+            "train": sum(not doc for doc in train_docs),
+            "test": sum(not doc for doc in test_docs),
+        },
     }
     return vectorizer.transform_all(train_docs), vectorizer.transform_all(test_docs), diagnostics
 
@@ -431,24 +436,22 @@ def _run_llm_variant(
     result = PredictorResult(name=entry_name, category="llm")
     provider = _build_provider(spec, test.schema)
     audit = AuditLog(run_dir / "audit" / f"{entry_name}.jsonl")
-    docs = list(test.documents)
+    docs = test.documents
     if variant == "clean":  # once per entry: every repeat and re-ask sends the same text
-        cleaned = {doc.id: clean_for_prompt(doc.text, config.llm_cleaning) for doc in docs}
-        text_of = lambda doc: cleaned[doc.id]
+        items = [(doc.id, clean_for_prompt(doc.text, config.llm_cleaning)) for doc in docs]
     else:
-        text_of = None
+        items = [(doc.id, doc.text) for doc in docs]
 
     diagnostics_per_run = []
     for repeat in range(spec.run.repeat_count):
         outcome = classify_corpus(
-            docs,
+            items,
             test.schema,
             spec.task,
             spec.run,
             provider,
             audit=audit,
             audit_meta={"predictor": entry_name, "variant": variant, "repeat": repeat},
-            text_of=text_of,
         )
         result.runs.append(_evaluate_llm_run(outcome, docs, test.schema))
         diagnostics_per_run.append(

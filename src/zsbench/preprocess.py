@@ -13,7 +13,6 @@ import re
 from dataclasses import asdict, dataclass
 from importlib import resources
 
-from .dataset import LabeledCorpus
 from .porter import stem
 
 # t.co links may follow digits: digit removal would expose them to a second pass
@@ -54,14 +53,6 @@ class CleaningPolicy:
         if unknown:
             raise ValueError(f"unknown cleaning policy flags: {sorted(unknown)}")
         return cls(**data)
-
-
-@dataclass(frozen=True)
-class CleanedDocument:
-    """Preprocessed form of a document: ordered lowercase tokens."""
-
-    id: int
-    tokens: tuple[str, ...]
 
 
 def _load_stopwords() -> frozenset[str]:
@@ -114,22 +105,14 @@ def normalize_tokens(
     return tokens
 
 
-def preprocess_corpus(
-    corpus: LabeledCorpus, policy: CleaningPolicy
-) -> tuple[list[CleanedDocument], int]:
-    """Clean and tokenize every document, preserving order and ids.
+def preprocess_corpus(texts: list[str], policy: CleaningPolicy) -> list[list[str]]:
+    """Clean and tokenize every text, in input order.
 
-    Returns (cleaned documents, count of documents reduced to zero tokens).
+    One call stems each distinct token once, so an experiment passes all of
+    its texts, train and test, in one call.
     """
-    cleaned = []
-    n_empty = 0
     stems: dict[str, str] = {}
-    for doc in corpus.documents:
-        tokens = normalize_tokens(clean_text(doc.text, policy), policy, stems)
-        if not tokens:
-            n_empty += 1
-        cleaned.append(CleanedDocument(id=doc.id, tokens=tuple(tokens)))
-    return cleaned, n_empty
+    return [normalize_tokens(clean_text(text, policy), policy, stems) for text in texts]
 
 
 def clean_for_prompt(text: str, policy: CleaningPolicy) -> str:

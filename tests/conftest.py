@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from zsbench.dataset import LabelSchema
-from zsbench.gateway import ProviderError
+from zsbench.gateway import ProviderError, TaskDescription
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -19,6 +19,13 @@ FIXTURE_RULES = {
     "Electronics": ["battery", "wireless", "usb"],
 }
 FIXTURE_DEFAULT_LABEL = "Household"
+
+ECOMMERCE_TASK = TaskDescription(
+    subject="e-commerce products",
+    item_singular="product",
+    item_plural="products",
+    venue="the e-commerce website",
+)
 
 
 class ScriptedProvider:

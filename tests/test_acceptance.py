@@ -21,6 +21,7 @@ import pytest
 from scipy import sparse
 
 from conftest import (
+    ECOMMERCE_TASK,
     FIXTURE_DEFAULT_LABEL,
     FIXTURE_RULES,
     fixture_experiment_config,
@@ -29,7 +30,7 @@ from conftest import (
 from zsbench.baselines import train_mnb
 from zsbench.baselines.logreg import _loss_and_grads
 from zsbench.dataset import LabelSchema, load_corpus, stratified_split
-from zsbench.gateway import ECOMMERCE_TASK, ParsedLabels, build_instruction, parse_classification
+from zsbench.gateway import ParsedLabels, build_instruction, parse_classification
 from zsbench.metrics import ConfusionMatrix, binary_auc, macro_f1, mcc
 from zsbench.orchestrator import run_experiment, validate_config
 

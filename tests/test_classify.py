@@ -6,25 +6,24 @@ import threading
 
 import pytest
 
-from zsbench.dataset import Document
 from zsbench.gateway import (
     AuditLog,
     AuthenticationError,
     ClassificationAborted,
-    ECOMMERCE_TASK,
     KeywordRuleProvider,
     LlmRunConfig,
     ProviderError,
     classify_corpus,
     replay_audit,
 )
-from conftest import FIXTURE_DEFAULT_LABEL, FIXTURE_RULES, ScriptedProvider
+from conftest import ECOMMERCE_TASK, FIXTURE_DEFAULT_LABEL, FIXTURE_RULES, ScriptedProvider
 
 FAST = dict(backoff_base_s=0.001)
 
 
-def make_docs(texts: list[str]) -> list[Document]:
-    return [Document(id=i, text=t, gold_label=None) for i, t in enumerate(texts)]
+def make_docs(texts: list[str]) -> list[tuple[int, str]]:
+    """(doc id, text) pairs with ids 0..N-1."""
+    return list(enumerate(texts))
 
 
 class TestBatching:
@@ -74,26 +73,26 @@ class TestMockAccuracyOracle:
             "Electronics",
             "Clothing & Accessories",
         ]
-        docs = [Document(id=i, text=t, gold_label=g) for i, (t, g) in enumerate(zip(texts, gold))]
+        docs = make_docs(texts)
         provider = KeywordRuleProvider(ecommerce_schema, FIXTURE_RULES, FIXTURE_DEFAULT_LABEL)
         config = LlmRunConfig(model="mock", batch_size=3, **FAST)
         outcome = classify_corpus(docs, ecommerce_schema, ECOMMERCE_TASK, config, provider)
 
         # oracle: apply the keyword rule directly to each document
         expected_correct = 0
-        for doc in docs:
-            lowered = doc.text.lower()
+        for text, gold_label in zip(texts, gold):
+            lowered = text.lower()
             predicted = FIXTURE_DEFAULT_LABEL
             for label in ecommerce_schema.labels:
                 hits = [kw for kw in FIXTURE_RULES.get(label, []) if kw in lowered]
                 if hits:
                     predicted = label
                     break
-            if predicted == doc.gold_label:
+            if predicted == gold_label:
                 expected_correct += 1
 
         got_correct = sum(
-            1 for doc in docs if outcome.resolved.get(doc.id) == doc.gold_label
+            1 for doc_id, label in enumerate(gold) if outcome.resolved.get(doc_id) == label
         )
         assert got_correct == expected_correct
         assert expected_correct == 7  # the lamp doc falls back to Household

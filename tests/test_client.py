@@ -9,11 +9,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 import requests
 
-from zsbench.dataset import Document
 from zsbench.gateway import client
 from zsbench.gateway import (
     AuthenticationError,
-    ECOMMERCE_TASK,
     HttpProvider,
     LlmRunConfig,
     ProviderError,
@@ -23,7 +21,7 @@ from zsbench.gateway import (
     classify_corpus,
     complete_chat,
 )
-from conftest import ScriptedProvider
+from conftest import ECOMMERCE_TASK, ScriptedProvider
 
 FAST = dict(backoff_base_s=0.001)
 
@@ -361,7 +359,7 @@ class TestSessions:
     ):
         endpoint = local_endpoint()
         provider = HttpProvider(endpoint.url, api_key_env="TEST_API_KEY")
-        docs = [Document(id=i, text=f"item {i}", gold_label=None) for i in range(8)]
+        docs = [(i, f"item {i}") for i in range(8)]
         config = LlmRunConfig(model="m", batch_size=2, concurrency=2, **FAST)
         for _ in range(5):
             classify_corpus(docs, ecommerce_schema, ECOMMERCE_TASK, config, provider)

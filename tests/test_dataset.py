@@ -26,6 +26,10 @@ def make_corpus(counts: dict[str, int], schema: LabelSchema) -> LabeledCorpus:
     return LabeledCorpus(schema, docs)
 
 
+def ids(corpus: LabeledCorpus) -> set[int]:
+    return {doc.id for doc in corpus.documents}
+
+
 class TestSchema:
     def test_needs_two_labels(self):
         with pytest.raises(CorpusError, match="at least 2"):
@@ -50,7 +54,7 @@ class TestLoadCorpus:
         )
         corpus = load_corpus(path, "csv", "text", "label", spam_schema)
         assert len(corpus) == 2
-        assert [d.id for d in corpus] == [0, 1]
+        assert [d.id for d in corpus.documents] == [0, 1]
         assert corpus.documents[0].gold_label == "spam"
         assert corpus.documents[1].text == "see you at 5"
 
@@ -119,20 +123,20 @@ class TestStratifiedSplit:
         corpus = make_corpus({"ham": 4, "spam": 2}, spam_schema)
         train, test = stratified_split(corpus, 6, seed=0)
         assert len(train) == 0
-        assert test.ids() == corpus.ids()
+        assert ids(test) == ids(corpus)
 
     def test_deterministic(self, spam_schema):
         corpus = make_corpus({"ham": 40, "spam": 25}, spam_schema)
         a = stratified_split(corpus, 20, seed=99)
         b = stratified_split(corpus, 20, seed=99)
-        assert a[0].ids() == b[0].ids()
-        assert a[1].ids() == b[1].ids()
+        assert ids(a[0]) == ids(b[0])
+        assert ids(a[1]) == ids(b[1])
 
     def test_different_seed_changes_members(self, spam_schema):
         corpus = make_corpus({"ham": 40, "spam": 25}, spam_schema)
         a = stratified_split(corpus, 20, seed=1)
         b = stratified_split(corpus, 20, seed=2)
-        assert a[1].ids() != b[1].ids()
+        assert ids(a[1]) != ids(b[1])
 
     def test_test_size_too_large(self, spam_schema):
         corpus = make_corpus({"ham": 2, "spam": 2}, spam_schema)
@@ -148,8 +152,8 @@ class TestStratifiedSplit:
         ]
         corpus = LabeledCorpus(schema, docs)
         train, test = stratified_split(corpus, 1500, seed=5)
-        assert train.ids() | test.ids() == corpus.ids()
-        assert not (train.ids() & test.ids())
+        assert ids(train) | ids(test) == ids(corpus)
+        assert not (ids(train) & ids(test))
         assert len(test) == 1500
 
     @settings(max_examples=60, deadline=None)
@@ -165,8 +169,8 @@ class TestStratifiedSplit:
         test_size = data.draw(st.integers(min_value=0, max_value=len(corpus)))
         train, test = stratified_split(corpus, test_size, seed=seed)
 
-        assert train.ids() | test.ids() == corpus.ids()
-        assert not (train.ids() & test.ids())
+        assert ids(train) | ids(test) == ids(corpus)
+        assert not (ids(train) & ids(test))
 
         if test_size > 0:
             n = len(corpus)

@@ -8,33 +8,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zsbench.features import FeatureError, fit_vectorizer
-from zsbench.preprocess import CleanedDocument
 
 
-def docs_from(token_lists) -> list[CleanedDocument]:
-    return [CleanedDocument(id=i, tokens=tuple(t)) for i, t in enumerate(token_lists)]
+def idf(vectorizer, term: str) -> float:
+    return float(vectorizer.idf[vectorizer.vocabulary[term]])
 
 
 def transform_one(vectorizer, tokens) -> dict[int, float]:
     """The single row of transform_all([doc]) as {column: weight}."""
-    row = vectorizer.transform_all([CleanedDocument(0, tuple(tokens))])
+    row = vectorizer.transform_all([list(tokens)])
     assert row.shape == (1, vectorizer.dim)
     return dict(zip(row.indices.tolist(), row.data.tolist()))
 
 
 class TestFitVectorizer:
     def test_idf_formula_by_hand(self):
-        v = fit_vectorizer(docs_from([["spam", "win"], ["ham"]]), min_df=1)
+        v = fit_vectorizer([["spam", "win"], ["ham"]], min_df=1)
         assert v.dim == 3
-        assert v.idf("spam") == pytest.approx(math.log(3 / 2) + 1, abs=1e-12)
+        assert idf(v, "spam") == pytest.approx(math.log(3 / 2) + 1, abs=1e-12)
 
     def test_min_df_prunes_everything(self):
         with pytest.raises(FeatureError, match="pruned"):
-            fit_vectorizer(docs_from([["spam", "win"], ["ham"]]), min_df=2)
+            fit_vectorizer([["spam", "win"], ["ham"]], min_df=2)
 
     def test_term_in_every_doc_has_idf_one(self):
-        v = fit_vectorizer(docs_from([["common", "x"], ["common", "y"]]), min_df=1)
-        assert v.idf("common") == pytest.approx(1.0, abs=1e-15)
+        v = fit_vectorizer([["common", "x"], ["common", "y"]], min_df=1)
+        assert idf(v, "common") == pytest.approx(1.0, abs=1e-15)
 
     def test_empty_training_set(self):
         with pytest.raises(FeatureError, match="empty training set"):
@@ -42,32 +41,32 @@ class TestFitVectorizer:
 
     def test_all_docs_empty(self):
         with pytest.raises(FeatureError, match="all training documents are empty"):
-            fit_vectorizer(docs_from([[], []]), min_df=1)
+            fit_vectorizer([[], []], min_df=1)
 
     def test_df_counts_documents_not_occurrences(self):
-        v = fit_vectorizer(docs_from([["spam", "spam", "spam"], ["ham"]]), min_df=1)
+        v = fit_vectorizer([["spam", "spam", "spam"], ["ham"]], min_df=1)
         # smoothed idf ln((1 + N) / (1 + df)) + 1 with N = 2 pins df = 1, not 3
-        assert v.idf("spam") == pytest.approx(math.log(3 / 2) + 1, abs=1e-12)
-        assert v.idf("spam") == v.idf("ham")
+        assert idf(v, "spam") == pytest.approx(math.log(3 / 2) + 1, abs=1e-12)
+        assert idf(v, "spam") == idf(v, "ham")
 
 
 class TestTransform:
     def test_repeated_token_normalizes_to_one(self):
-        v = fit_vectorizer(docs_from([["spam", "win"], ["ham"]]), min_df=1)
+        v = fit_vectorizer([["spam", "win"], ["ham"]], min_df=1)
         row = transform_one(v, ("spam", "spam"))
         assert list(row) == [v.vocabulary["spam"]]
         assert row[v.vocabulary["spam"]] == pytest.approx(1.0, abs=1e-12)
 
     def test_oov_only_gives_zero_vector(self):
-        v = fit_vectorizer(docs_from([["spam"], ["spam", "ham"]]), min_df=1)
+        v = fit_vectorizer([["spam"], ["spam", "ham"]], min_df=1)
         assert transform_one(v, ("unseen", "tokens")) == {}
 
     def test_empty_doc_gives_zero_vector(self):
-        v = fit_vectorizer(docs_from([["spam"], ["ham"]]), min_df=1)
+        v = fit_vectorizer([["spam"], ["ham"]], min_df=1)
         assert transform_one(v, ()) == {}
 
     def test_weights_without_normalization(self):
-        v = fit_vectorizer(docs_from([["spam", "win"], ["ham"]]), min_df=1, l2_normalize=False)
+        v = fit_vectorizer([["spam", "win"], ["ham"]], min_df=1, l2_normalize=False)
         row = transform_one(v, ("spam", "spam", "win"))
         expected_spam = 2 * (math.log(3 / 2) + 1)
         assert row[v.vocabulary["spam"]] == pytest.approx(expected_spam, abs=1e-12)
@@ -83,21 +82,21 @@ class TestTransform:
         ]
         n = 5
         df = {"win": 2, "cash": 2, "now": 3, "prize": 2, "meeting": 2, "tomorrow": 1}
-        v = fit_vectorizer(docs_from(corpus), min_df=1, l2_normalize=False)
+        v = fit_vectorizer(corpus, min_df=1, l2_normalize=False)
         for doc_tokens in corpus:
             got = transform_one(v, doc_tokens)
             for term in set(doc_tokens):
-                idf = math.log((1 + n) / (1 + df[term])) + 1
-                expected = doc_tokens.count(term) * idf
+                term_idf = math.log((1 + n) / (1 + df[term])) + 1
+                expected = doc_tokens.count(term) * term_idf
                 assert got[v.vocabulary[term]] == pytest.approx(expected, abs=1e-9)
 
     def test_transform_does_not_mutate_vocabulary(self):
-        v = fit_vectorizer(docs_from([["spam"], ["spam", "ham"]]), min_df=1)
-        vocabulary = v.vocabulary
-        idf = {term: v.idf(term) for term in vocabulary}
+        v = fit_vectorizer([["spam"], ["spam", "ham"]], min_df=1)
+        vocabulary = dict(v.vocabulary)
+        weights = v.idf.copy()
         transform_one(v, ("new", "words", "spam"))
         assert v.vocabulary == vocabulary
-        assert {term: v.idf(term) for term in vocabulary} == idf
+        assert np.array_equal(v.idf, weights)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -109,14 +108,14 @@ class TestTransform:
         )
     )
     def test_nonzero_vectors_have_unit_norm(self, tokens):
-        v = fit_vectorizer(docs_from([["a", "b"], ["b", "c"], ["a", "c"]]), min_df=1)
+        v = fit_vectorizer([["a", "b"], ["b", "c"], ["a", "c"]], min_df=1)
         row = transform_one(v, tokens)
         if row:
             assert math.sqrt(sum(w * w for w in row.values())) == pytest.approx(1.0, abs=1e-9)
 
     def test_transform_all_stacks_rows_in_input_order(self):
-        v = fit_vectorizer(docs_from([["spam", "win"], ["ham", "win"]]), min_df=1)
-        docs = docs_from([["win", "ham"], [], ["unseen"], ["spam"]])
+        v = fit_vectorizer([["spam", "win"], ["ham", "win"]], min_df=1)
+        docs = [["win", "ham"], [], ["unseen"], ["spam"]]
         m = v.transform_all(docs)
         assert m.shape == (4, v.dim)
         for i, doc in enumerate(docs):
@@ -130,8 +129,8 @@ class TestFeatureVector:
 
     @staticmethod
     def rows(docs):
-        v = fit_vectorizer(docs_from([list("abcd"), list("cdef"), list("a")]), min_df=1)
-        m = v.transform_all(docs_from(docs))
+        v = fit_vectorizer([list("abcd"), list("cdef"), list("a")], min_df=1)
+        m = v.transform_all(docs)
         assert m.shape == (len(docs), v.dim)
         return v, [m.indices[s:e] for s, e in zip(m.indptr, m.indptr[1:])]
 

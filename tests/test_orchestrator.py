@@ -7,7 +7,8 @@ import pytest
 import requests
 
 from conftest import fixture_experiment_config, mock_llm_predictor
-from zsbench import cli, orchestrator
+from zsbench import cli, orchestrator, preprocess
+from zsbench.dataset import load_corpus
 from zsbench.orchestrator import (
     ConfigError,
     emit_report,
@@ -297,8 +298,50 @@ class TestRunExperiment:
         )
         result = run_experiment(validate_config(raw), run_id="one-pass")
         assert all(res.status == "ok" for res in result.predictors.values())
-        assert len(preprocessed) == 2  # train and test, once each
+        assert len(preprocessed) == 1  # train and test texts in one call
+        assert len(preprocessed[0][0]) == len(result.train_ids) + len(result.test_ids)
         assert len(fits) == 1
+
+    def test_each_distinct_token_stemmed_once(self, fixture_corpus_path, tmp_path, monkeypatch):
+        stemmed = []
+        original = preprocess.stem
+
+        def counted(word):
+            stemmed.append(word)
+            return original(word)
+
+        monkeypatch.setattr(preprocess, "stem", counted)
+        raw = minimal_config(
+            fixture_corpus_path, tmp_path, predictors=[{"name": "mnb"}, {"name": "knn"}]
+        )
+        config = validate_config(raw)
+        result = run_experiment(config, run_id="stem-once")
+        assert all(res.status == "ok" for res in result.predictors.values())
+        ds = config.dataset
+        corpus = load_corpus(ds.path, ds.format, ds.text_field, ds.label_field, ds.schema)
+        distinct = {
+            token
+            for doc in corpus.documents
+            for token in preprocess.clean_text(doc.text, config.cleaning).split()
+            if token not in preprocess.STOPWORDS
+        }
+        assert len(stemmed) == len(distinct)
+        assert set(stemmed) == distinct
+
+    def test_empty_documents_counted_per_split(self, fixture_corpus_path, tmp_path):
+        corpus_path = tmp_path / "corpus.csv"
+        lines = fixture_corpus_path.read_text("utf-8").splitlines()
+        n_fixture = len(lines) - 1  # header
+        url_only = [f"https://t.co/x{i},Books" for i in range(20)]
+        corpus_path.write_text("\n".join(lines + url_only) + "\n", "utf-8")
+        raw = minimal_config(corpus_path, tmp_path)
+        result = run_experiment(validate_config(raw), run_id="empties")
+        url_ids = set(range(n_fixture, n_fixture + len(url_only)))
+        n_test = len(url_ids & set(result.test_ids))
+        assert result.predictors["mnb"].diagnostics["empty_after_cleaning"] == {
+            "train": len(url_only) - n_test,
+            "test": n_test,
+        }
 
     def test_llm_only_roster_builds_no_features(self, fixture_corpus_path, tmp_path, monkeypatch):
         preprocessed = self._count_calls(monkeypatch, "preprocess_corpus")

@@ -3,7 +3,6 @@ from __future__ import annotations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zsbench.dataset import Document, LabeledCorpus, LabelSchema
 from zsbench.preprocess import (
     STOPWORDS,
     CleaningPolicy,
@@ -114,28 +113,15 @@ class TestNormalizeTokens:
 
 
 class TestPreprocessCorpus:
-    schema = LabelSchema("t", ["spam", "ham"])
-
     def test_order_and_ids_preserved(self):
-        corpus = LabeledCorpus(
-            self.schema,
-            [
-                Document(id=0, text="win a prize", gold_label="spam"),
-                Document(id=1, text="see you soon", gold_label="ham"),
-            ],
-        )
-        cleaned, n_empty = preprocess_corpus(corpus, FULL)
-        assert [c.id for c in cleaned] == [0, 1]
-        assert n_empty == 0
+        texts = ["win a prize", "see you soon", "win again"]
+        tokens = preprocess_corpus(texts, FULL)
+        assert tokens == [normalize_tokens(clean_text(t, FULL), FULL) for t in texts]
+        assert tokens == [["win", "prize"], ["see", "soon"], ["win"]]
 
     def test_url_only_doc_counted_empty(self):
-        corpus = LabeledCorpus(
-            self.schema,
-            [Document(id=0, text="https://t.co/abc", gold_label="spam")],
-        )
-        cleaned, n_empty = preprocess_corpus(corpus, FULL)
-        assert cleaned[0].tokens == ()
-        assert n_empty == 1
+        tokens = preprocess_corpus(["https://t.co/abc", "free prize"], FULL)
+        assert tokens == [[], ["free", "prize"]]
 
     def test_clean_for_prompt(self):
         policy = CleaningPolicy.tweet_cleaning()

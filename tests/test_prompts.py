@@ -6,12 +6,12 @@ import pytest
 
 from zsbench.dataset import LabelSchema
 from zsbench.gateway import (
-    ECOMMERCE_TASK,
     PromptError,
     TaskDescription,
     build_instruction,
     build_prompt,
 )
+from conftest import ECOMMERCE_TASK
 
 ECOMMERCE_INSTRUCTION = (
     "You are an AI assistant and you are very good at doing e-commerce products "

@@ -106,8 +106,8 @@ def fixture_features():
     )
     corpus = load_corpus(DATA / "fixture_corpus.csv", "csv", "text", "category", schema)
     train, test = stratified_split(corpus, 150, 42)
-    train_docs, _ = preprocess_corpus(train, CleaningPolicy())
-    test_docs, _ = preprocess_corpus(test, CleaningPolicy())
+    train_docs = preprocess_corpus([doc.text for doc in train.documents], CleaningPolicy())
+    test_docs = preprocess_corpus([doc.text for doc in test.documents], CleaningPolicy())
     vectorizer = fit_vectorizer(train_docs)
     labels = [doc.gold_label for doc in train.documents]
     return vectorizer.transform_all(train_docs), vectorizer.transform_all(test_docs), labels, schema
