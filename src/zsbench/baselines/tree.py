@@ -12,19 +12,16 @@ trees are deterministic. A node splits only when the weighted child
 impurity strictly improves on the parent's.
 
 Training and prediction work on the sparse matrix and never build a dense
-copy. Training converts it to CSC once. At each node the node's rows, which
-repeat under bootstrap, become per-row weights, and the stored entries of
-every candidate feature that fall in the node are gathered in one pass.
-A feature's implicit zeros are never sorted: they enter as one zero-block
-entry with value 0, whose class counts are the node's counts minus those of
-the feature's stored entries, and which is left out when it holds no row.
-Negative values and stored zeros therefore split exactly as in a dense
-search. One lexsort by (feature, value) and one cumsum give the class
-counts left of every boundary, a point where the value strictly increases
-within a feature, and every boundary is scored at once; only the final
-scan over the candidates' best scores is a Python loop. To partition a node
-or route rows at prediction, the chosen feature's column is scattered into
-a dense vector with one value per row.
+copy. Training converts it to CSC once.
+
+All trees grow in lockstep. Each keeps its own depth-first stack and RNG
+and reaches its nodes in the pre-order of a recursive grower, so it draws
+the same candidates and grows the same tree. A step takes the next node of
+every tree and scores them together with `splitter.best_splits`, at most
+`_SEARCH_NODES` per search. The trees' rows are laid end to end in one
+array and a node is a range of it, which a split partitions in place.
+Prediction routes rows by scattering the chosen feature's column into a
+dense vector.
 """
 
 from __future__ import annotations
@@ -37,9 +34,10 @@ from scipy import sparse
 
 from ..dataset import LabelSchema
 from .common import TrainingError, check_training_input, normalize_rows
+from .splitter import best_splits, concat_ranges, sort_columns
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     distribution: np.ndarray  # class frequencies at this node, normalized
     n_samples: int
@@ -82,118 +80,95 @@ def leaf_distributions(root: TreeNode, xc: sparse.csc_matrix) -> np.ndarray:
     return out
 
 
-def _gini(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return float(1.0 - (p * p).sum())
+# nodes scored by one split search; bounds the search's temporaries
+_SEARCH_NODES = 25
 
 
-def _best_split(
+def _new_nodes(counts: np.ndarray, depth: np.ndarray, max_depth: int, min_leaf: int):
+    """One TreeNode per row of class counts, with its gini and whether it may split."""
+    n = counts.sum(axis=1)
+    distribution = counts / n[:, None]
+    gini = 1.0 - (distribution * distribution).sum(axis=1)
+    nodes = [TreeNode(d, k) for d, k in zip(distribution, n.astype(int).tolist())]
+    may_split = (depth < max_depth) & (gini != 0.0) & (n >= 2 * min_leaf)
+    return nodes, gini, may_split
+
+
+def _grow_forest(
     xc: sparse.csc_matrix,
     y: np.ndarray,
-    rows: np.ndarray,
-    feature_ids: np.ndarray,
-    counts: np.ndarray,
-    min_leaf: int,
-) -> tuple[int, float, float] | None:
-    """Best (feature, threshold, weighted child gini) over the candidates.
-
-    `rows` may repeat a row (bootstrap) and `counts` are its class counts.
-    Thresholds are midpoints between consecutive distinct values of a
-    feature among the node's rows; rows with value <= threshold go left.
-    """
-    n = len(rows)
-    n_classes = len(counts)
-    weight = np.bincount(rows, minlength=xc.shape[0])
-
-    # the stored entries of every candidate column that fall in the node;
-    # seg numbers the candidate each entry belongs to
-    begin = xc.indptr[feature_ids]
-    lengths = xc.indptr[feature_ids + 1] - begin
-    seg = np.repeat(np.arange(len(feature_ids)), lengths)
-    pos = np.arange(lengths.sum()) + np.repeat(begin - (np.cumsum(lengths) - lengths), lengths)
-    w = weight[xc.indices[pos]]
-    inside = w > 0
-    seg, pos, w = seg[inside], pos[inside], w[inside]
-    labels = y[xc.indices[pos]]
-
-    # each feature's zeros are one entry: what its stored entries leave over
-    zero = counts - np.bincount(
-        seg * n_classes + labels, weights=w, minlength=len(feature_ids) * n_classes
-    ).reshape(-1, n_classes)
-    zero_seg = np.flatnonzero(zero.sum(axis=1) > 0)
-
-    class_w = np.zeros((len(pos) + len(zero_seg), n_classes))
-    class_w[np.arange(len(pos)), labels] = w
-    class_w[len(pos):] = zero[zero_seg]
-    seg = np.concatenate([seg, zero_seg])
-    values = np.concatenate([xc.data[pos], np.zeros(len(zero_seg), dtype=xc.dtype)])
-    order = np.lexsort((values, seg))
-    seg, values = seg[order], values[order]
-    cum = np.zeros((len(order) + 1, n_classes))
-    np.cumsum(class_w[order], axis=0, out=cum[1:])
-
-    # boundary b splits sorted entries ..b | b+1.. where the value increases
-    boundary = np.flatnonzero((seg[:-1] == seg[1:]) & (values[:-1] < values[1:]))
-    left = cum[boundary + 1] - cum[np.searchsorted(seg, seg[boundary])]
-    n_left = left.sum(axis=1)
-    legal = (n_left >= min_leaf) & (n - n_left >= min_leaf)
-    boundary, left, n_left = boundary[legal], left[legal], n_left[legal]
-    if boundary.size == 0:
-        return None
-
-    right = counts - left
-    n_right = n - n_left
-    gini_left = 1.0 - ((left / n_left[:, None]) ** 2).sum(axis=1)
-    gini_right = 1.0 - ((right / n_right[:, None]) ** 2).sum(axis=1)
-    weighted = (n_left * gini_left + n_right * gini_right) / n
-
-    # the best score of each candidate, scanned in ascending feature order
-    seg_of = seg[boundary]
-    runs = np.flatnonzero(np.concatenate(([True], seg_of[1:] != seg_of[:-1])))
-    best, best_run = math.inf, -1
-    for k, score in enumerate(np.minimum.reduceat(weighted, runs).tolist()):
-        if score < best - 1e-12:
-            best, best_run = score, k
-    # that candidate's first boundary reaching its best score has the lowest threshold
-    lo = runs[best_run]
-    hi = runs[best_run + 1] if best_run + 1 < len(runs) else len(weighted)
-    b = boundary[lo + int(np.argmin(weighted[lo:hi]))]
-    threshold = float((values[b] + values[b + 1]) / 2.0)
-    return int(feature_ids[seg[b]]), threshold, best
-
-
-def _grow(
-    xc: sparse.csc_matrix,
-    y: np.ndarray,
-    rows: np.ndarray,
+    samples,
     n_classes: int,
-    depth: int,
     max_depth: int,
     min_leaf: int,
-    feature_picker,
-) -> TreeNode:
-    counts = np.bincount(y[rows], minlength=n_classes).astype(float)
-    node = TreeNode(distribution=counts / counts.sum(), n_samples=len(rows))
+    pickers: list,
+) -> list[TreeNode]:
+    """Grow one tree per (rows, weights) sample, all trees in lockstep; the roots.
 
-    parent_gini = _gini(counts)
-    if depth >= max_depth or parent_gini == 0.0 or len(rows) < 2 * min_leaf:
-        return node
-    split = _best_split(xc, y, rows, feature_picker(), counts, min_leaf)
-    if split is None:
-        return node
-    feature, threshold, child_gini = split
-    if child_gini >= parent_gini - 1e-12:
-        return node
+    A split partitions its node's range of `rows` into its left then its
+    right rows. Each tree keeps a depth-first stack of the nodes it may still
+    split. A step pops the next node of every tree and draws its candidates
+    from the tree's picker.
+    """
+    tree_rows, tree_weights = zip(*samples)
+    bounds = np.cumsum([0] + [len(r) for r in tree_rows])
+    counts = np.array([
+        np.bincount(y[r], weights=w, minlength=n_classes) for r, w in zip(tree_rows, tree_weights)
+    ])
+    rows, weights = np.concatenate(tree_rows), np.concatenate(tree_weights)
+    del tree_rows, tree_weights
+    roots, gini, may_split = _new_nodes(counts, np.zeros(len(counts)), max_depth, min_leaf)
+    # a stack entry: (node, start, end, depth, gini, class counts)
+    stacks = [
+        [(roots[t], bounds[t], bounds[t + 1], 0, gini[t], counts[t])] if may_split[t] else []
+        for t in range(len(roots))
+    ]
+    xs = sort_columns(xc)
+    slot = np.zeros(xc.shape[0], dtype=np.intp)
 
-    mask = _column(xc, feature)[rows] <= threshold
-    node.feature = feature
-    node.threshold = threshold
-    node.left = _grow(xc, y, rows[mask], n_classes, depth + 1, max_depth, min_leaf, feature_picker)
-    node.right = _grow(xc, y, rows[~mask], n_classes, depth + 1, max_depth, min_leaf, feature_picker)
-    return node
+    while True:
+        current = [(t, stack.pop()) for t, stack in enumerate(stacks) if stack]
+        if not current:
+            return roots
+        for first in range(0, len(current), _SEARCH_NODES):
+            trees, entries = zip(*current[first : first + _SEARCH_NODES])
+            nodes, *fields = zip(*entries)
+            start, end, depth, gini, counts = map(np.array, fields)
+            size = end - start
+            row_ptr = np.concatenate(([0], np.cumsum(size)))
+            index = concat_ranges(start, size)
+            candidates = [pickers[t]() for t in trees]
+            found = best_splits(
+                xs, y, rows[index], weights[index], row_ptr, np.concatenate(candidates),
+                np.cumsum([0] + [len(c) for c in candidates]), counts, gini, min_leaf, slot,
+            )
+            if found is None:
+                continue
+            split, feature, threshold, left, goes_left = found
+
+            # partition each node's rows, left rows first
+            node_of = np.repeat(np.arange(len(entries)), size)
+            order = np.argsort(2 * node_of + ~goes_left, kind="stable")
+            rows[index], weights[index] = rows[index[order]], weights[index[order]]
+            middle = start[split] + np.add.reduceat(goes_left, row_ptr[:-1], dtype=np.intp)[split]
+
+            child_counts = np.empty((2 * len(split), n_classes))
+            child_counts[0::2], child_counts[1::2] = left, counts[split] - left
+            children, child_gini, child_may_split = _new_nodes(
+                child_counts, np.repeat(depth[split] + 1, 2), max_depth, min_leaf
+            )
+            for i, (j, f, t, m) in enumerate(
+                zip(split.tolist(), feature.tolist(), threshold.tolist(), middle.tolist())
+            ):
+                node = nodes[j]
+                node.feature, node.threshold = f, t
+                node.left, node.right = children[2 * i], children[2 * i + 1]
+                # right first, so the tree grows the left subtree first
+                for c, lo, hi in ((2 * i + 1, m, end[j]), (2 * i, start[j], m)):
+                    if child_may_split[c]:
+                        stacks[trees[j]].append(
+                            (children[c], lo, hi, depth[j] + 1, child_gini[c], child_counts[c])
+                        )
 
 
 class ForestModel:
@@ -240,16 +215,22 @@ def train_rf(
     n, v = xc.shape
     m = max(1, math.isqrt(v))
     all_ids = np.arange(v)
+    ones = np.ones(n, dtype=np.int32)
 
-    trees = []
-    for t in range(n_trees):
-        rng = np.random.default_rng([seed, t])
-        rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        if feature_subsample == "sqrt":
-            picker = lambda rng=rng: np.sort(rng.choice(v, size=m, replace=False))
-        else:
-            picker = lambda: all_ids
-        trees.append(_grow(xc, y, rows, len(schema), 0, max_depth, min_leaf, picker))
+    rngs = [np.random.default_rng([seed, t]) for t in range(n_trees)]
+
+    def samples():
+        """Each tree's drawn rows, once each and ascending, and how often it drew them."""
+        for rng in rngs:
+            drawn = np.bincount(rng.integers(0, n, size=n), minlength=n) if bootstrap else ones
+            rows = np.flatnonzero(drawn)
+            yield rows, drawn[rows].astype(np.int32)
+
+    if feature_subsample == "sqrt":
+        pickers = [lambda rng=rng: np.sort(rng.choice(v, size=m, replace=False)) for rng in rngs]
+    else:
+        pickers = [lambda: all_ids] * n_trees
+    trees = _grow_forest(xc, y, samples(), len(schema), max_depth, min_leaf, pickers)
     return ForestModel(schema, trees)
 
 

@@ -3,8 +3,10 @@
 Documents are batched, each batch gets one request plus at most one
 follow-up asking only about entries the parser could not resolve, and
 anything still unresolved is marked invalid (scored as incorrect
-downstream, never guessed). Every request/response pair is appended to a
-JSONL audit log that can be replayed through the parser offline.
+downstream, never guessed). A document whose text is blank, such as a
+tweet that cleans to nothing, goes in no request and is marked invalid.
+Every request/response pair is appended to a JSONL audit log that can be
+replayed through the parser offline.
 """
 
 from __future__ import annotations
@@ -106,8 +108,9 @@ def classify_corpus(
         raise GatewayError("no documents to classify")
     meta = dict(audit_meta or {})
 
+    sendable = [(i, text) for i, text in items if text.strip()]
     batches = [
-        items[i : i + config.batch_size] for i in range(0, len(items), config.batch_size)
+        sendable[i : i + config.batch_size] for i in range(0, len(sendable), config.batch_size)
     ]
 
     def run_batch(batch_no: int) -> tuple[ParsedLabels, int]:

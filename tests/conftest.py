@@ -1,14 +1,22 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from zsbench.dataset import LabelSchema
 from zsbench.gateway import ProviderError, TaskDescription
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# CI runners set CI: a falsified property then prints a @reproduce_failure
+# blob that replays the same example locally
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 ECOMMERCE_LABELS = ["Household", "Books", "Clothing & Accessories", "Electronics"]
 

@@ -132,6 +132,26 @@ class TestReAskAndFallback:
         assert outcome.diagnostics.missing_index == 1
         assert outcome.diagnostics.unknown_label == 2
 
+    def test_blank_documents_invalid_without_a_request(self, ecommerce_schema):
+        docs = make_docs(["usb hub", "   ", "a novel", ""])
+        provider = ScriptedProvider(['{"0": "Electronics", "2": "Books"}'])
+        config = LlmRunConfig(model="m", batch_size=2, **FAST)
+        outcome = classify_corpus(docs, ecommerce_schema, ECOMMERCE_TASK, config, provider)
+        assert provider.calls == 1
+        assert provider.bodies[0]["messages"][1]["content"] == "0. usb hub\n2. a novel"
+        assert outcome.doc_ids == (0, 1, 2, 3)
+        assert outcome.invalid_ids == [1, 3]
+        assert (outcome.n_requests, outcome.n_reasks) == (1, 0)
+
+    def test_all_blank_documents_send_nothing(self, ecommerce_schema):
+        provider = ScriptedProvider([])
+        config = LlmRunConfig(model="m", **FAST)
+        docs = make_docs(["", " "])
+        outcome = classify_corpus(docs, ecommerce_schema, ECOMMERCE_TASK, config, provider)
+        assert provider.calls == 0
+        assert outcome.invalid_ids == [0, 1]
+        assert (outcome.n_requests, outcome.n_reasks) == (0, 0)
+
     def test_provider_failure_aborts(self, ecommerce_schema):
         docs = make_docs(["usb hub"])
         provider = ScriptedProvider([ProviderError("HTTP 500", retryable=True)] * 5)

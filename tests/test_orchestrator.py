@@ -8,6 +8,7 @@ import requests
 
 from conftest import fixture_experiment_config, mock_llm_predictor
 from zsbench import cli, orchestrator, preprocess
+from zsbench.gateway import classify as gateway_classify
 from zsbench.dataset import load_corpus
 from zsbench.orchestrator import (
     ConfigError,
@@ -342,6 +343,38 @@ class TestRunExperiment:
             "train": len(url_only) - n_test,
             "test": n_test,
         }
+
+    def test_document_cleaned_to_nothing_scored_invalid(
+        self, fixture_corpus_path, tmp_path, monkeypatch
+    ):
+        corpus_path = tmp_path / "corpus.csv"
+        lines = fixture_corpus_path.read_text("utf-8").splitlines()
+        n_fixture = len(lines) - 1  # header
+        url_only = [f"https://t.co/x{i},Books" for i in range(20)]
+        corpus_path.write_text("\n".join(lines + url_only) + "\n", "utf-8")
+        outcomes, prompted = [], set()
+        classify, build_prompt = orchestrator.classify_corpus, gateway_classify.build_prompt
+
+        def record_outcome(*args, **kwargs):
+            outcomes.append(classify(*args, **kwargs))
+            return outcomes[-1]
+
+        def record_prompt(schema, task, batch):
+            prompted.update(index for index, _ in batch)
+            return build_prompt(schema, task, batch)
+
+        monkeypatch.setattr(orchestrator, "classify_corpus", record_outcome)
+        monkeypatch.setattr(gateway_classify, "build_prompt", record_prompt)
+        raw = minimal_config(
+            corpus_path, tmp_path, predictors=[mock_llm_predictor(text_variant="clean")]
+        )
+        result = run_experiment(validate_config(raw), run_id="cleaned-empty")
+        assert result.predictors["mock-llm"].status == "ok"
+        url_ids = set(range(n_fixture, n_fixture + len(url_only))) & set(result.test_ids)
+        assert url_ids and len(outcomes) == 5
+        for outcome in outcomes:
+            assert url_ids <= set(outcome.invalid_ids)
+        assert prompted and not prompted & url_ids
 
     def test_llm_only_roster_builds_no_features(self, fixture_corpus_path, tmp_path, monkeypatch):
         preprocessed = self._count_calls(monkeypatch, "preprocess_corpus")

@@ -2,11 +2,14 @@
 
 Both must grow the same trees node for node, with bit-equal thresholds and
 distributions, and route rows to the same leaves. The trainers and the
-forest's predict_proba must never densify their input.
+forest's predict_proba must never densify their input. A forest's trees grow
+in lockstep, so the number of split searches follows its largest tree, not
+its total node count, and does not change the trees.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +20,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
 from dense_cart import dense_forest, dense_predict_proba
-from zsbench.baselines import train_dt, train_rf
+from zsbench.baselines import train_dt, train_rf, tree
 from zsbench.baselines.common import encode_labels
 from zsbench.dataset import LabelSchema, load_corpus, stratified_split
 from zsbench.features import fit_vectorizer
@@ -83,18 +86,22 @@ def test_dt_matches_dense_reference(problem, min_leaf, max_depth, seed):
 @settings(max_examples=200, deadline=None)
 @given(
     problem=sparse_problems(),
+    n_trees=st.integers(1, 6),
     min_leaf=st.integers(1, 3),
-    max_depth=st.integers(1, 5),
+    max_depth=st.integers(1, 8),
     seed=st.integers(0, 2**31),
 )
-def test_rf_matches_dense_reference(problem, min_leaf, max_depth, seed):
+def test_rf_matches_dense_reference(problem, n_trees, min_leaf, max_depth, seed):
+    # the trees of a forest grow in lockstep and finish at different steps
     xd, x, y = problem
     labels = [SCHEMA3.labels[i] for i in y]
     model = train_rf(
-        x, labels, SCHEMA3, n_trees=3, max_depth=max_depth, min_leaf=min_leaf,
+        x, labels, SCHEMA3, n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf,
         feature_subsample="sqrt", bootstrap=True, seed=seed,
     )
-    reference = dense_forest(xd, y, len(SCHEMA3), 3, max_depth, min_leaf, "sqrt", True, seed)
+    reference = dense_forest(
+        xd, y, len(SCHEMA3), n_trees, max_depth, min_leaf, "sqrt", True, seed
+    )
     assert_same_forest(model, reference, x)
 
 
@@ -124,6 +131,44 @@ def test_fixture_corpus_trees_match_dense_reference(fixture_features):
     ]:
         assert_same_forest(model, reference, x_test)
         assert not model.trees[0].is_leaf
+
+
+def searched_nodes(root, max_depth: int, min_leaf: int = 1) -> int:
+    """How many nodes of a tree the grower scored: those neither at max_depth,
+    nor pure, nor too small to split."""
+    count, pending = 0, [(root, 0)]
+    while pending:
+        node, depth = pending.pop()
+        d = node.distribution
+        pure = 1.0 - (d * d).sum() == 0.0
+        count += depth < max_depth and not pure and node.n_samples >= 2 * min_leaf
+        if not node.is_leaf:
+            pending += [(node.left, depth + 1), (node.right, depth + 1)]
+    return count
+
+
+@pytest.mark.parametrize("cap", [1, 7, 64])
+def test_forest_grows_in_lockstep(fixture_features, monkeypatch, cap):
+    x, x_test, labels, schema = fixture_features
+    expected = train_rf(x, labels, schema, n_trees=50, max_depth=16, seed=7)
+    searches = []
+    search = tree.best_splits
+
+    def counted(*args):
+        searches.append(len(args[7]))  # one row of class counts per node
+        return search(*args)
+
+    monkeypatch.setattr(tree, "_SEARCH_NODES", cap)
+    monkeypatch.setattr(tree, "best_splits", counted)
+    model = train_rf(x, labels, schema, n_trees=50, max_depth=16, seed=7)
+    assert_same_forest(model, expected.trees, x_test)
+
+    # one step per node of the tree scored most often, one search per cap nodes
+    steps = max(searched_nodes(root, 16) for root in model.trees)
+    assert len(searches) <= steps * math.ceil(50 / cap)
+    assert max(searches) <= cap
+    if cap >= 50:
+        assert len(searches) == steps
 
 
 def test_trees_never_densify(fixture_features, monkeypatch):
