@@ -6,22 +6,27 @@ exposes predict_proba(x) -> ndarray of shape (n, K): one probability
 distribution over the schema labels per row of x. DT and RF share one CART
 implementation in `tree`: the decision tree is the one-tree forest, so both
 return a ForestModel.
+
+This module is only a registry. A trainer's module, and scipy with it, is
+imported when a config first names that baseline, so a run without
+baselines never loads them.
 """
 
 from __future__ import annotations
 
+import importlib
 import inspect
 
-from scipy import sparse
-
 from ..dataset import LabelSchema
-from .common import TrainingError
-from .knn import KnnModel, train_knn
-from .logreg import DivergenceError, LogRegModel, train_logreg
-from .mnb import MnbModel, train_mnb
-from .tree import ForestModel, train_dt, train_rf
 
-TRAINERS = {"mnb": train_mnb, "logreg": train_logreg, "knn": train_knn, "dt": train_dt, "rf": train_rf}
+# baseline -> (module of this package, trainer in it)
+_TRAINERS = {
+    "mnb": ("mnb", "train_mnb"),
+    "logreg": ("logreg", "train_logreg"),
+    "knn": ("knn", "train_knn"),
+    "dt": ("tree", "train_dt"),
+    "rf": ("tree", "train_rf"),
+}
 
 # common shorthand accepted in configs
 BASELINE_ALIASES = {"lg": "logreg", "lr": "logreg"}
@@ -32,43 +37,24 @@ DISPLAY_NAMES = {"mnb": "MNB", "logreg": "LG", "knn": "KNN", "dt": "DT", "rf": "
 def canonical_baseline_name(name: str) -> str | None:
     key = name.strip().lower()
     key = BASELINE_ALIASES.get(key, key)
-    return key if key in TRAINERS else None
+    return key if key in _TRAINERS else None
+
+
+def _trainer(kind: str):
+    module, trainer = _TRAINERS[kind]
+    return getattr(importlib.import_module(f"{__name__}.{module}"), trainer)
 
 
 def hyperparameter_names(kind: str) -> frozenset[str]:
     """The keyword parameters of a trainer, after (x, labels, schema)."""
-    return frozenset(list(inspect.signature(TRAINERS[kind]).parameters)[3:])
+    return frozenset(list(inspect.signature(_trainer(kind)).parameters)[3:])
 
 
-def train_baseline(
-    name: str,
-    x: sparse.csr_matrix,
-    labels: list[str],
-    schema: LabelSchema,
-    **hyper,
-):
-    """Train the named baseline with its hyperparameters."""
+def train_baseline(name: str, x, labels: list[str], schema: LabelSchema, **hyper):
+    """Train the named baseline on CSR matrix `x` with its hyperparameters."""
     key = canonical_baseline_name(name)
     if key is None:
+        from .common import TrainingError
+
         raise TrainingError(f"unknown baseline {name!r}")
-    return TRAINERS[key](x, labels, schema, **hyper)
-
-
-__all__ = [
-    "DISPLAY_NAMES",
-    "DivergenceError",
-    "ForestModel",
-    "KnnModel",
-    "LogRegModel",
-    "MnbModel",
-    "TRAINERS",
-    "TrainingError",
-    "canonical_baseline_name",
-    "hyperparameter_names",
-    "train_baseline",
-    "train_dt",
-    "train_knn",
-    "train_logreg",
-    "train_mnb",
-    "train_rf",
-]
+    return _trainer(key)(x, labels, schema, **hyper)

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 class FeatureError(ValueError):
@@ -39,6 +42,8 @@ class Vectorizer:
         Out-of-vocabulary tokens are ignored, so all-OOV or empty documents
         yield zero rows.
         """
+        from scipy import sparse  # here, so a run without baselines never loads scipy
+
         vocab = self.vocabulary
         indices: list[int] = []
         counts: list[int] = []

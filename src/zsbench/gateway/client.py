@@ -14,10 +14,6 @@ import queue
 import random
 import time
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
-from email.utils import parsedate_to_datetime
-
-import requests
 
 from .prompts import PromptBundle
 
@@ -119,6 +115,10 @@ def _parse_retry_after(value: str | None) -> float | None:
     value = value.strip()
     if value.isascii() and value.isdigit():
         return float(value)
+    # only an HTTP-date needs these, so importing the client does not
+    from datetime import datetime, timezone
+    from email.utils import parsedate_to_datetime
+
     try:
         when = parsedate_to_datetime(value)
     except (TypeError, ValueError):
@@ -147,6 +147,9 @@ class HttpProvider:
         self.endpoint = endpoint
         self.api_key_env = api_key_env
         self.timeout_s = timeout_s
+        # imported here, while the config is validated, not at package import
+        import requests
+
         self._idle: queue.SimpleQueue[requests.Session] = queue.SimpleQueue()
 
     def complete(self, body: dict) -> tuple[str, dict]:
@@ -160,6 +163,8 @@ class HttpProvider:
             "Authorization": f"Bearer {api_key}",
             "Content-Type": "application/json",
         }
+        import requests  # loaded by __init__: this only binds the name
+
         try:
             session = self._idle.get_nowait()
         except queue.Empty:

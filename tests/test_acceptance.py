@@ -27,8 +27,8 @@ from conftest import (
     fixture_experiment_config,
     mock_llm_predictor,
 )
-from zsbench.baselines import train_mnb
 from zsbench.baselines.logreg import _loss_and_grads
+from zsbench.baselines.mnb import train_mnb
 from zsbench.dataset import LabelSchema, load_corpus, stratified_split
 from zsbench.gateway import ParsedLabels, build_instruction, parse_classification
 from zsbench.metrics import ConfusionMatrix, binary_auc, macro_f1, mcc

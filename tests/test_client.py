@@ -326,7 +326,7 @@ class TestSessions:
                     with lock:
                         in_flight.discard(id(self))
 
-        monkeypatch.setattr(client.requests, "Session", RecordingSession)
+        monkeypatch.setattr(requests, "Session", RecordingSession)
         return log
 
     def test_concurrent_requests_never_share_a_session(self, local_endpoint, recording_session):

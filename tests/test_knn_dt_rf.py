@@ -6,14 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from zsbench.baselines import (
-    TrainingError,
-    train_dt,
-    train_knn,
-    train_mnb,
-    train_logreg,
-    train_rf,
-)
+from zsbench.baselines.common import TrainingError
+from zsbench.baselines.knn import train_knn
+from zsbench.baselines.logreg import train_logreg
+from zsbench.baselines.mnb import train_mnb
+from zsbench.baselines.tree import train_dt, train_rf
 from zsbench.dataset import LabelSchema
 
 SCHEMA = LabelSchema("t", ["a", "b"])

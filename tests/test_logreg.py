@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from zsbench.baselines import DivergenceError, TrainingError, train_logreg
-from zsbench.baselines.logreg import _loss_and_grads
+from zsbench.baselines.common import TrainingError
+from zsbench.baselines.logreg import DivergenceError, _loss_and_grads, train_logreg
 from zsbench.dataset import LabelSchema
 
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from zsbench.baselines import TrainingError, train_mnb
+from zsbench.baselines.common import TrainingError
+from zsbench.baselines.mnb import train_mnb
 from zsbench.dataset import LabelSchema
 
 

@@ -20,8 +20,9 @@ from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
 from dense_cart import dense_forest, dense_predict_proba
-from zsbench.baselines import train_dt, train_rf, tree
+from zsbench.baselines import tree
 from zsbench.baselines.common import encode_labels
+from zsbench.baselines.tree import train_dt, train_rf
 from zsbench.dataset import LabelSchema, load_corpus, stratified_split
 from zsbench.features import fit_vectorizer
 from zsbench.preprocess import CleaningPolicy, preprocess_corpus
