@@ -1,9 +1,10 @@
 """Labeled text corpora: loading, validation, and deterministic stratified splits.
 
-A corpus is an ordered list of documents tied to a closed label schema.
-Loading normalizes labels (trim + case-fold) against the schema; splitting
-uses largest-remainder allocation so test-set class proportions track the
-corpus within 1/test_size.
+A corpus is two parallel tuples, texts and labels, tied to a closed label
+schema; a document's id is its row in file order. Loading normalizes labels
+(trim + case-fold) against the schema; splitting returns row ids and uses
+largest-remainder allocation so test-set class proportions track the corpus
+within 1/test_size.
 """
 
 from __future__ import annotations
@@ -11,27 +12,12 @@ from __future__ import annotations
 import csv
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 
 class CorpusError(ValueError):
     """Raised for unreadable, malformed, or schema-violating corpus input."""
-
-
-@dataclass(frozen=True)
-class Document:
-    """One text item; `gold_label`, when set, is a canonical schema label."""
-
-    id: int
-    text: str
-    gold_label: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.id < 0:
-            raise CorpusError(f"document id must be non-negative, got {self.id}")
-        if not self.text.strip():
-            raise CorpusError(f"document {self.id}: text is empty after trimming")
 
 
 @dataclass(frozen=True)
@@ -85,26 +71,15 @@ class LabelSchema:
 
 @dataclass(frozen=True)
 class LabeledCorpus:
-    """An ordered, immutable collection of documents under one schema."""
+    """Parallel `texts` and canonical `labels` under one schema; a
+    document's id is its row."""
 
     schema: LabelSchema
-    documents: tuple[Document, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "documents", tuple(self.documents))
-        schema = self.schema
-        seen_ids = set()
-        for doc in self.documents:
-            if doc.id in seen_ids:
-                raise CorpusError(f"duplicate document id {doc.id}")
-            seen_ids.add(doc.id)
-            if doc.gold_label is not None and doc.gold_label not in schema.labels:
-                raise CorpusError(
-                    f"document {doc.id}: label {doc.gold_label!r} not in schema"
-                )
+    texts: tuple[str, ...]
+    labels: tuple[str, ...]
 
     def __len__(self) -> int:
-        return len(self.documents)
+        return len(self.texts)
 
 
 def _iter_records(path: Path, fmt: str):
@@ -149,7 +124,7 @@ def load_corpus(
     if not path.is_file():
         raise CorpusError(f"corpus file not found: {path}")
 
-    documents = []
+    texts, labels = [], []
     for line_num, record in _iter_records(path, format):
         for fieldname in (text_field, label_field):
             if fieldname not in record or record[fieldname] is None:
@@ -166,17 +141,17 @@ def load_corpus(
                 f"{path}: line {line_num}: unknown label {raw_label!r} "
                 f"(schema: {', '.join(schema.labels)})"
             )
-        documents.append(Document(id=len(documents), text=text, gold_label=label))
+        texts.append(text)
+        labels.append(label)
 
-    return LabeledCorpus(schema=schema, documents=documents)
+    return LabeledCorpus(schema=schema, texts=tuple(texts), labels=tuple(labels))
 
 
 def class_distribution(corpus: LabeledCorpus) -> dict[str, int]:
     """Count documents per schema label; unseen labels map to 0."""
     counts = {label: 0 for label in corpus.schema.labels}
-    for doc in corpus.documents:
-        if doc.gold_label is not None:
-            counts[doc.gold_label] += 1
+    for label in corpus.labels:
+        counts[label] += 1
     return counts
 
 
@@ -207,12 +182,11 @@ def _test_quotas(corpus: LabeledCorpus, test_size: int) -> dict[str, int]:
 
 def stratified_split(
     corpus: LabeledCorpus, test_size: int, seed: int
-) -> tuple[LabeledCorpus, LabeledCorpus]:
-    """Split into (train, test) with class-proportional test counts.
+) -> tuple[list[int], list[int]]:
+    """Split into (train_ids, test_ids) with class-proportional test counts.
 
     A pure function of its arguments: the same (corpus, test_size, seed)
-    always yields the same member sets. Document order inside each side
-    follows the original corpus order.
+    always yields the same member sets. Both id lists are ascending.
     """
     if test_size < 0:
         raise CorpusError(f"test_size must be non-negative, got {test_size}")
@@ -220,21 +194,12 @@ def stratified_split(
         raise CorpusError(
             f"test_size {test_size} exceeds corpus size {len(corpus)}"
         )
-    for doc in corpus.documents:
-        if doc.gold_label is None:
-            raise CorpusError(f"document {doc.id} has no gold label; cannot stratify")
 
     quotas = _test_quotas(corpus, test_size)
     rng = random.Random(seed)
     test_ids: set[int] = set()
     for label in corpus.schema.labels:
-        members = [doc.id for doc in corpus.documents if doc.gold_label == label]
+        members = [i for i, gold in enumerate(corpus.labels) if gold == label]
         rng.shuffle(members)
         test_ids.update(members[: quotas[label]])
-
-    train_docs = [doc for doc in corpus.documents if doc.id not in test_ids]
-    test_docs = [doc for doc in corpus.documents if doc.id in test_ids]
-    return (
-        LabeledCorpus(schema=corpus.schema, documents=train_docs),
-        LabeledCorpus(schema=corpus.schema, documents=test_docs),
-    )
+    return [i for i in range(len(corpus)) if i not in test_ids], sorted(test_ids)

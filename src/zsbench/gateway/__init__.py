@@ -1,67 +1,23 @@
-"""Prompt building, chat transport, and robust response parsing."""
+"""Prompt building, chat transport, and robust response parsing.
+
+The package re-exports what the orchestrator, the CLI and audit replay use;
+everything else is imported from its submodule.
+"""
 
 from __future__ import annotations
 
-from .classify import (
-    AuditLog,
-    ClassificationAborted,
-    LlmClassification,
-    classify_corpus,
-    replay_audit,
-)
-from .client import (
-    AuthenticationError,
-    GatewayError,
-    HttpProvider,
-    LlmResponse,
-    LlmRunConfig,
-    ProviderError,
-    RetriesExhaustedError,
-    build_request_body,
-    complete_chat,
-)
+from .classify import AuditLog, classify_corpus, replay_audit
+from .client import GatewayError, HttpProvider, LlmRunConfig
 from .mock import KeywordRuleProvider
-from .parsing import (
-    ParseDiagnostics,
-    ParsedLabels,
-    PayloadError,
-    extract_json_payload,
-    parse_classification,
-    resolve_labels,
-)
-from .prompts import (
-    PromptBundle,
-    PromptError,
-    TaskDescription,
-    build_instruction,
-    build_prompt,
-)
+from .prompts import TaskDescription
 
 __all__ = [
     "AuditLog",
-    "AuthenticationError",
-    "ClassificationAborted",
     "GatewayError",
     "HttpProvider",
     "KeywordRuleProvider",
-    "LlmClassification",
-    "LlmResponse",
     "LlmRunConfig",
-    "ParseDiagnostics",
-    "ParsedLabels",
-    "PayloadError",
-    "PromptBundle",
-    "PromptError",
-    "ProviderError",
-    "RetriesExhaustedError",
     "TaskDescription",
-    "build_instruction",
-    "build_prompt",
-    "build_request_body",
     "classify_corpus",
-    "complete_chat",
-    "extract_json_payload",
-    "parse_classification",
     "replay_audit",
-    "resolve_labels",
 ]

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .baselines import DISPLAY_NAMES, canonical_baseline_name, hyperparameter_names, train_baseline
-from .dataset import Document, LabeledCorpus, LabelSchema, load_corpus, stratified_split
+from .dataset import LabeledCorpus, LabelSchema, load_corpus, stratified_split
 from .features import fit_vectorizer
 from .gateway import (
     AuditLog,
@@ -120,6 +120,18 @@ def _require(mapping: dict, key: str, where: str):
     if key not in mapping:
         raise ConfigError(f"{where}: missing required field {key!r}")
     return mapping[key]
+
+
+_JSON_TYPE_NAMES = {str: "a string", int: "an integer", bool: "true or false"}
+
+
+def _typed(mapping: dict, where: str, default):
+    """The value under the last part of the dotted location `where`, or
+    `default`, once it has the default's JSON type (`true` is no integer)."""
+    value = mapping.get(where.rsplit(".", 1)[-1], default)
+    if type(value) is not type(default):
+        raise ConfigError(f"{where}: expected {_JSON_TYPE_NAMES[type(default)]}, got {value!r}")
+    return value
 
 
 def _checked_object(data, where: str, allowed) -> dict:
@@ -227,16 +239,16 @@ def validate_config(raw: str) -> ExperimentConfig:
     dataset = DatasetSpec(
         path=str(_require(ds, "path", "dataset")),
         format=fmt,
-        text_field=ds.get("text_field", "text"),
-        label_field=ds.get("label_field", "label"),
+        text_field=_typed(ds, "dataset.text_field", "text"),
+        label_field=_typed(ds, "dataset.label_field", "label"),
         schema=schema,
     )
 
     split = _checked_object(data.get("split", {}), "split", ("test_size", "seed"))
-    test_size = split.get("test_size", 150)
-    if not isinstance(test_size, int) or test_size < 1:
+    test_size = _typed(split, "split.test_size", 150)
+    if test_size < 1:
         raise ConfigError(f"split.test_size: expected a positive integer, got {test_size!r}")
-    split_seed = split.get("seed", 0)
+    split_seed = _typed(split, "split.seed", 0)
 
     cleaning = _parse_policy(data.get("cleaning"), "cleaning", CleaningPolicy())
     llm_cleaning = _parse_policy(
@@ -244,10 +256,10 @@ def validate_config(raw: str) -> ExperimentConfig:
     )
 
     feats = _checked_object(data.get("features", {}), "features", ("min_df", "l2_normalize"))
-    min_df = feats.get("min_df", 2)
-    if not isinstance(min_df, int) or min_df < 1:
+    min_df = _typed(feats, "features.min_df", 2)
+    if min_df < 1:
         raise ConfigError(f"features.min_df: expected a positive integer, got {min_df!r}")
-    l2_normalize = bool(feats.get("l2_normalize", True))
+    l2_normalize = _typed(feats, "features.l2_normalize", True)
 
     # a top-level repeat_count is the default of every llm entry
     run_defaults = {"repeat_count": data["repeat_count"]} if "repeat_count" in data else {}
@@ -276,9 +288,7 @@ def validate_config(raw: str) -> ExperimentConfig:
         seen_names.add(spec.name)
         predictors.append(spec)
 
-    output_dir = data.get("output_dir", "runs")
-    if not isinstance(output_dir, str):
-        raise ConfigError(f"output_dir: expected a string, got {output_dir!r}")
+    output_dir = _typed(data, "output_dir", "runs")
 
     return ExperimentConfig(
         dataset=dataset,
@@ -372,27 +382,29 @@ def _wrong_label(gold: str, schema: LabelSchema) -> str:
     raise AssertionError("schema has fewer than 2 labels")
 
 
-def _evaluate_llm_run(outcome, docs: list[Document], schema: LabelSchema) -> EvalReport:
+def _evaluate_llm_run(outcome, corpus: LabeledCorpus, test_ids: list[int]) -> EvalReport:
     truth = []
     pred = []
     n_invalid = 0
-    for doc in docs:
-        truth.append(doc.gold_label)
-        label = outcome.resolved.get(doc.id)
+    for i in test_ids:
+        gold = corpus.labels[i]
+        truth.append(gold)
+        label = outcome.resolved.get(i)
         if label is None:
             n_invalid += 1
-            label = _wrong_label(doc.gold_label, schema)
+            label = _wrong_label(gold, corpus.schema)
         pred.append(label)
-    return build_report(truth, pred, schema, scores=None, n_invalid=n_invalid)
+    return build_report(truth, pred, corpus.schema, scores=None, n_invalid=n_invalid)
 
 
-def _build_features(train: LabeledCorpus, test: LabeledCorpus, config: ExperimentConfig):
+def _build_features(
+    corpus: LabeledCorpus, train_ids: list[int], test_ids: list[int], config: ExperimentConfig
+):
     """The shared TF-IDF pass: (train matrix, test matrix, diagnostics), one
-    matrix row per document. Train and test go through one preprocessing
-    call, so each distinct token is stemmed once per experiment."""
-    texts = [doc.text for doc in train.documents + test.documents]
-    tokens = preprocess_corpus(texts, config.cleaning)
-    train_docs, test_docs = tokens[: len(train)], tokens[len(train) :]
+    matrix row per id. Train and test go through one preprocessing call, so
+    each distinct token is stemmed once per experiment."""
+    tokens = preprocess_corpus([corpus.texts[i] for i in train_ids + test_ids], config.cleaning)
+    train_docs, test_docs = tokens[: len(train_ids)], tokens[len(train_ids) :]
     vectorizer = fit_vectorizer(
         train_docs, min_df=config.min_df, l2_normalize=config.l2_normalize
     )
@@ -407,53 +419,52 @@ def _build_features(train: LabeledCorpus, test: LabeledCorpus, config: Experimen
 
 
 def _run_baseline(
-    spec: BaselineSpec, train: LabeledCorpus, test: LabeledCorpus, x_train, x_test, diagnostics
+    spec: BaselineSpec, corpus: LabeledCorpus, train_ids: list[int], test_ids: list[int],
+    x_train, x_test, diagnostics,
 ) -> PredictorResult:
-    labels = [doc.gold_label for doc in train.documents]
-    model = train_baseline(spec.kind, x_train, labels, train.schema, **spec.hyper)
+    schema = corpus.schema
+    labels = [corpus.labels[i] for i in train_ids]
+    model = train_baseline(spec.kind, x_train, labels, schema, **spec.hyper)
     proba = model.predict_proba(x_test)
-    truth = [doc.gold_label for doc in test.documents]
-    pred = [test.schema.labels[i] for i in proba.argmax(axis=1)]
+    truth = [corpus.labels[i] for i in test_ids]
+    pred = [schema.labels[i] for i in proba.argmax(axis=1)]
     return PredictorResult(
         name=spec.name,
         category="baseline",
-        report=build_report(truth, pred, test.schema, scores=proba),
-        diagnostics={
-            **diagnostics,
-            "evaluated_doc_ids": [doc.id for doc in test.documents],
-        },
+        report=build_report(truth, pred, schema, scores=proba),
+        diagnostics={**diagnostics, "evaluated_doc_ids": test_ids},
     )
 
 
 def _run_llm_variant(
     spec: LlmSpec,
     variant: str,
-    test: LabeledCorpus,
+    corpus: LabeledCorpus,
+    test_ids: list[int],
     config: ExperimentConfig,
     run_dir: Path,
     entry_name: str,
 ) -> PredictorResult:
     result = PredictorResult(name=entry_name, category="llm")
-    provider = _build_provider(spec, test.schema)
+    provider = _build_provider(spec, corpus.schema)
     audit = AuditLog(run_dir / "audit" / f"{entry_name}.jsonl")
-    docs = test.documents
+    texts = [corpus.texts[i] for i in test_ids]
     if variant == "clean":  # once per entry: every repeat and re-ask sends the same text
-        items = [(doc.id, clean_for_prompt(doc.text, config.llm_cleaning)) for doc in docs]
-    else:
-        items = [(doc.id, doc.text) for doc in docs]
+        texts = [clean_for_prompt(text, config.llm_cleaning) for text in texts]
+    items = list(zip(test_ids, texts))
 
     diagnostics_per_run = []
     for repeat in range(spec.run.repeat_count):
         outcome = classify_corpus(
             items,
-            test.schema,
+            corpus.schema,
             spec.task,
             spec.run,
             provider,
             audit=audit,
             audit_meta={"predictor": entry_name, "variant": variant, "repeat": repeat},
         )
-        result.runs.append(_evaluate_llm_run(outcome, docs, test.schema))
+        result.runs.append(_evaluate_llm_run(outcome, corpus, test_ids))
         diagnostics_per_run.append(
             {
                 "n_requests": outcome.n_requests,
@@ -470,7 +481,7 @@ def _run_llm_variant(
         "variant": variant,
         "audit_log": str(Path("audit") / f"{entry_name}.jsonl"),
         "per_run": diagnostics_per_run,
-        "evaluated_doc_ids": [doc.id for doc in docs],
+        "evaluated_doc_ids": test_ids,
     }
     return result
 
@@ -502,22 +513,19 @@ def run_experiment(config: ExperimentConfig, run_id: str | None = None) -> Exper
         config.dataset.label_field,
         config.dataset.schema,
     )
-    train, test = stratified_split(corpus, config.test_size, config.split_seed)
+    train_ids, test_ids = stratified_split(corpus, config.test_size, config.split_seed)
 
     run_dir.mkdir(parents=True)
 
     result = ExperimentResult(
-        config=config,
-        run_dir=run_dir,
-        train_ids=sorted(doc.id for doc in train.documents),
-        test_ids=sorted(doc.id for doc in test.documents),
+        config=config, run_dir=run_dir, train_ids=train_ids, test_ids=test_ids
     )
 
     # built once for all baselines; a failure here is recorded on each of them
     features = None
     if any(isinstance(spec, BaselineSpec) for spec in config.predictors):
         try:
-            features = _build_features(train, test, config)
+            features = _build_features(corpus, train_ids, test_ids, config)
         except Exception as exc:  # noqa: BLE001 - re-raised per baseline below
             features = exc
 
@@ -531,9 +539,11 @@ def run_experiment(config: ExperimentConfig, run_id: str | None = None) -> Exper
                 if isinstance(spec, BaselineSpec):
                     if isinstance(features, Exception):
                         raise features
-                    res = _run_baseline(spec, train, test, *features)
+                    res = _run_baseline(spec, corpus, train_ids, test_ids, *features)
                 else:
-                    res = _run_llm_variant(spec, variant, test, config, run_dir, entry_name)
+                    res = _run_llm_variant(
+                        spec, variant, corpus, test_ids, config, run_dir, entry_name
+                    )
             except Exception as exc:  # noqa: BLE001 - crash isolation per predictor
                 res = PredictorResult(
                     name=entry_name,
@@ -551,7 +561,7 @@ def run_experiment(config: ExperimentConfig, run_id: str | None = None) -> Exper
 def _check_fair_comparison(result: ExperimentResult) -> None:
     """Every successful predictor must have consumed the same test ids; one
     that did not is recorded as failed, so its scores are not compared."""
-    expected = sorted(result.test_ids)
+    expected = result.test_ids
     for name, res in list(result.predictors.items()):
         if res.status != "ok":
             continue
@@ -574,7 +584,8 @@ def _write_artifacts(result: ExperimentResult) -> None:
         "config_hash": result.config.config_hash(),
         "zsbench_version": __version__,
         "python": sys.version.split()[0],
-        "platform": platform.platform(),
+        # not platform.platform(), which runs `uname -p` in a child process
+        "platform": "-".join((platform.system(), platform.release(), platform.machine())),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     (run_dir / "manifest.json").write_text(

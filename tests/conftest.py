@@ -8,7 +8,8 @@ import pytest
 from hypothesis import settings
 
 from zsbench.dataset import LabelSchema
-from zsbench.gateway import ProviderError, TaskDescription
+from zsbench.gateway.client import ProviderError
+from zsbench.gateway.prompts import TaskDescription
 
 DATA_DIR = Path(__file__).parent / "data"
 

@@ -8,7 +8,7 @@ same (payload, stripped) pair, and raise PayloadError on the same inputs.
 
 from __future__ import annotations
 
-from zsbench.gateway import PayloadError
+from zsbench.gateway.parsing import PayloadError
 
 
 def extract_json_payload(raw: str) -> tuple[str, bool]:

@@ -30,7 +30,8 @@ from conftest import (
 from zsbench.baselines.logreg import _loss_and_grads
 from zsbench.baselines.mnb import train_mnb
 from zsbench.dataset import LabelSchema, load_corpus, stratified_split
-from zsbench.gateway import ParsedLabels, build_instruction, parse_classification
+from zsbench.gateway.parsing import ParsedLabels, parse_classification
+from zsbench.gateway.prompts import build_instruction
 from zsbench.metrics import ConfusionMatrix, binary_auc, macro_f1, mcc
 from zsbench.orchestrator import run_experiment, validate_config
 
@@ -272,17 +273,17 @@ def test_criterion_6_end_to_end(tmp_path, ecommerce_schema):
 
     # oracle: the mock's keyword rule applied directly to the test documents
     corpus = load_corpus(DATA / "fixture_corpus.csv", "csv", "text", "category", ecommerce_schema)
-    _, test = stratified_split(corpus, config.test_size, config.split_seed)
+    _, test_ids = stratified_split(corpus, config.test_size, config.split_seed)
     correct = 0
-    for doc in test.documents:
-        lowered = doc.text.lower()
+    for i in test_ids:
+        lowered = corpus.texts[i].lower()
         predicted = FIXTURE_DEFAULT_LABEL
         for label in ecommerce_schema.labels:
             if any(kw.lower() in lowered for kw in FIXTURE_RULES.get(label, [])):
                 predicted = label
                 break
-        correct += predicted == doc.gold_label
-    oracle_acc = correct / len(test.documents)
+        correct += predicted == corpus.labels[i]
+    oracle_acc = correct / len(test_ids)
 
     mock_res = first.predictors["mock-llm"]
     assert mock_res.aggregates["acc"].std == 0.0

@@ -6,16 +6,14 @@ import threading
 
 import pytest
 
-from zsbench.gateway import (
+from zsbench.gateway.classify import (
     AuditLog,
-    AuthenticationError,
     ClassificationAborted,
-    KeywordRuleProvider,
-    LlmRunConfig,
-    ProviderError,
     classify_corpus,
     replay_audit,
 )
+from zsbench.gateway.client import AuthenticationError, LlmRunConfig, ProviderError
+from zsbench.gateway.mock import KeywordRuleProvider
 from conftest import ECOMMERCE_TASK, FIXTURE_DEFAULT_LABEL, FIXTURE_RULES, ScriptedProvider
 
 FAST = dict(backoff_base_s=0.001)

@@ -10,17 +10,17 @@ import pytest
 import requests
 
 from zsbench.gateway import client
-from zsbench.gateway import (
+from zsbench.gateway.classify import classify_corpus
+from zsbench.gateway.client import (
     AuthenticationError,
     HttpProvider,
     LlmRunConfig,
     ProviderError,
     RetriesExhaustedError,
-    build_prompt,
     build_request_body,
-    classify_corpus,
     complete_chat,
 )
+from zsbench.gateway.prompts import build_prompt
 from conftest import ECOMMERCE_TASK, ScriptedProvider
 
 FAST = dict(backoff_base_s=0.001)

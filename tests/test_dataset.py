@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from zsbench.dataset import (
     CorpusError,
-    Document,
     LabeledCorpus,
     LabelSchema,
     class_distribution,
@@ -19,15 +18,22 @@ from zsbench.dataset import (
 
 
 def make_corpus(counts: dict[str, int], schema: LabelSchema) -> LabeledCorpus:
-    docs = []
-    for label, n in counts.items():
-        for _ in range(n):
-            docs.append(Document(id=len(docs), text=f"doc {len(docs)}", gold_label=label))
-    return LabeledCorpus(schema, docs)
+    labels = tuple(label for label, n in counts.items() for _ in range(n))
+    return LabeledCorpus(schema, tuple(f"doc {i}" for i in range(len(labels))), labels)
 
 
 def ids(corpus: LabeledCorpus) -> set[int]:
-    return {doc.id for doc in corpus.documents}
+    """A document's id is its row in the parallel texts and labels tuples."""
+    assert len(corpus.texts) == len(corpus.labels)
+    return set(range(len(corpus.texts)))
+
+
+def subset(corpus: LabeledCorpus, row_ids: list[int]) -> LabeledCorpus:
+    return LabeledCorpus(
+        corpus.schema,
+        tuple(corpus.texts[i] for i in row_ids),
+        tuple(corpus.labels[i] for i in row_ids),
+    )
 
 
 class TestSchema:
@@ -54,9 +60,8 @@ class TestLoadCorpus:
         )
         corpus = load_corpus(path, "csv", "text", "label", spam_schema)
         assert len(corpus) == 2
-        assert [d.id for d in corpus.documents] == [0, 1]
-        assert corpus.documents[0].gold_label == "spam"
-        assert corpus.documents[1].text == "see you at 5"
+        assert corpus.texts == ("free entry win prize", "see you at 5")
+        assert corpus.labels == ("spam", "ham")
 
     def test_jsonl_missing_label_field_names_line(self, tmp_path, spam_schema):
         path = tmp_path / "corpus.jsonl"
@@ -74,7 +79,7 @@ class TestLoadCorpus:
         path = tmp_path / "corpus.csv"
         path.write_text('text,label\nnice day,"Positive "\nso so,neutral\n')
         corpus = load_corpus(path, "csv", "text", "label", schema)
-        assert corpus.documents[0].gold_label == "positive"
+        assert corpus.labels == ("positive", "neutral")
 
     def test_unknown_label_reports_value_and_line(self, tmp_path, spam_schema):
         path = tmp_path / "corpus.csv"
@@ -105,7 +110,7 @@ class TestClassDistribution:
         assert class_distribution(corpus) == {"ham": 3, "spam": 2}
 
     def test_empty_corpus_all_zero(self, spam_schema):
-        corpus = LabeledCorpus(spam_schema, [])
+        corpus = LabeledCorpus(spam_schema, (), ())
         assert class_distribution(corpus) == {"ham": 0, "spam": 0}
 
 
@@ -117,26 +122,27 @@ class TestStratifiedSplit:
             {"negative": 650, "neutral": 240, "positive": 610}, self.covid_schema
         )
         _, test = stratified_split(corpus, 150, seed=3)
-        assert class_distribution(test) == {"negative": 65, "neutral": 24, "positive": 61}
+        assert class_distribution(subset(corpus, test)) == {
+            "negative": 65, "neutral": 24, "positive": 61
+        }
 
     def test_full_test_split(self, spam_schema):
         corpus = make_corpus({"ham": 4, "spam": 2}, spam_schema)
         train, test = stratified_split(corpus, 6, seed=0)
-        assert len(train) == 0
-        assert ids(test) == ids(corpus)
+        assert train == []
+        assert set(test) == ids(corpus)
 
     def test_deterministic(self, spam_schema):
         corpus = make_corpus({"ham": 40, "spam": 25}, spam_schema)
         a = stratified_split(corpus, 20, seed=99)
         b = stratified_split(corpus, 20, seed=99)
-        assert ids(a[0]) == ids(b[0])
-        assert ids(a[1]) == ids(b[1])
+        assert a == b
 
     def test_different_seed_changes_members(self, spam_schema):
         corpus = make_corpus({"ham": 40, "spam": 25}, spam_schema)
         a = stratified_split(corpus, 20, seed=1)
         b = stratified_split(corpus, 20, seed=2)
-        assert ids(a[1]) != ids(b[1])
+        assert a[1] != b[1]
 
     def test_test_size_too_large(self, spam_schema):
         corpus = make_corpus({"ham": 2, "spam": 2}, spam_schema)
@@ -146,14 +152,11 @@ class TestStratifiedSplit:
     def test_partition_on_large_random_corpus(self):
         rng = random.Random(7)
         schema = LabelSchema("big", ["a", "b", "c", "d"])
-        docs = [
-            Document(id=i, text=f"doc {i}", gold_label=rng.choice(schema.labels))
-            for i in range(10_000)
-        ]
-        corpus = LabeledCorpus(schema, docs)
+        labels = tuple(rng.choice(schema.labels) for _ in range(10_000))
+        corpus = LabeledCorpus(schema, tuple(f"doc {i}" for i in range(len(labels))), labels)
         train, test = stratified_split(corpus, 1500, seed=5)
-        assert ids(train) | ids(test) == ids(corpus)
-        assert not (ids(train) & ids(test))
+        assert set(train) | set(test) == ids(corpus)
+        assert not (set(train) & set(test))
         assert len(test) == 1500
 
     @settings(max_examples=60, deadline=None)
@@ -169,12 +172,15 @@ class TestStratifiedSplit:
         test_size = data.draw(st.integers(min_value=0, max_value=len(corpus)))
         train, test = stratified_split(corpus, test_size, seed=seed)
 
-        assert ids(train) | ids(test) == ids(corpus)
-        assert not (ids(train) & ids(test))
+        assert set(train) | set(test) == ids(corpus)
+        assert not (set(train) & set(test))
+        assert train == sorted(train)
+        assert test == sorted(test)
+        assert sorted(train + test) == list(range(len(corpus)))
 
         if test_size > 0:
             n = len(corpus)
-            dist = class_distribution(test)
+            dist = class_distribution(subset(corpus, test))
             full = class_distribution(corpus)
             for label in labels:
                 assert abs(dist[label] / test_size - full[label] / n) <= 1.0 / test_size

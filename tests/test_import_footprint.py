@@ -70,6 +70,7 @@ def test_llm_only_run_loads_no_scipy_requests_or_trainer(tmp_path):
     ran = set(out["ran"])
     assert under(ran, "scipy", "requests", "urllib3") == set()
     assert ran & TRAINER_MODULES == set()
+    assert under(ran, "subprocess") == set()
 
 
 @pytest.mark.parametrize(

@@ -143,6 +143,32 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match=rf"^{where}: .*'{field}'"):
             validate_config(json.dumps(data))
 
+    @pytest.mark.parametrize(
+        "path, value, where",
+        [
+            (("split", "seed"), [1], r"split\.seed"),
+            (("dataset", "text_field"), ["text"], r"dataset\.text_field"),
+            (("dataset", "label_field"), ["category"], r"dataset\.label_field"),
+            (("features", "l2_normalize"), "false", r"features\.l2_normalize"),
+            (("split", "test_size"), True, r"split\.test_size"),
+            (("features", "min_df"), True, r"features\.min_df"),
+        ],
+        ids=["list-seed", "list-text-field", "list-label-field", "string-l2-normalize",
+             "bool-test-size", "bool-min-df"],
+    )
+    def test_wrongly_typed_field_rejected_with_location(
+        self, fixture_corpus_path, tmp_path, path, value, where
+    ):
+        data = self._every_level(fixture_corpus_path, tmp_path)
+        validate_config(json.dumps(data))  # valid before the bad value goes in
+        *parents, key = path
+        target = data
+        for part in parents:
+            target = target[part]
+        target[key] = value
+        with pytest.raises(ConfigError, match=rf"^{where}: expected .*, got {re.escape(repr(value))}$"):
+            validate_config(json.dumps(data))
+
     def test_api_key_in_provider_not_echoed(self, fixture_corpus_path, tmp_path):
         predictor = http_llm_predictor(api_key="sk-not-a-real-key")
         raw = minimal_config(fixture_corpus_path, tmp_path, predictors=[predictor])
@@ -322,8 +348,8 @@ class TestRunExperiment:
         corpus = load_corpus(ds.path, ds.format, ds.text_field, ds.label_field, ds.schema)
         distinct = {
             token
-            for doc in corpus.documents
-            for token in preprocess.clean_text(doc.text, config.cleaning).split()
+            for text in corpus.texts
+            for token in preprocess.clean_text(text, config.cleaning).split()
             if token not in preprocess.STOPWORDS
         }
         assert len(stemmed) == len(distinct)

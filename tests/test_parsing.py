@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import rescan_extract
 from zsbench.dataset import LabelSchema
-from zsbench.gateway import (
+from zsbench.gateway.parsing import (
     ParsedLabels,
     PayloadError,
     extract_json_payload,

@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from zsbench.dataset import LabelSchema
-from zsbench.gateway import (
+from zsbench.gateway.prompts import (
     PromptError,
     TaskDescription,
     build_instruction,

@@ -113,11 +113,11 @@ def fixture_features():
         "e-commerce", ["Household", "Books", "Clothing & Accessories", "Electronics"]
     )
     corpus = load_corpus(DATA / "fixture_corpus.csv", "csv", "text", "category", schema)
-    train, test = stratified_split(corpus, 150, 42)
-    train_docs = preprocess_corpus([doc.text for doc in train.documents], CleaningPolicy())
-    test_docs = preprocess_corpus([doc.text for doc in test.documents], CleaningPolicy())
+    train_ids, test_ids = stratified_split(corpus, 150, 42)
+    train_docs = preprocess_corpus([corpus.texts[i] for i in train_ids], CleaningPolicy())
+    test_docs = preprocess_corpus([corpus.texts[i] for i in test_ids], CleaningPolicy())
     vectorizer = fit_vectorizer(train_docs)
-    labels = [doc.gold_label for doc in train.documents]
+    labels = [corpus.labels[i] for i in train_ids]
     return vectorizer.transform_all(train_docs), vectorizer.transform_all(test_docs), labels, schema
 
 
