@@ -23,6 +23,10 @@ from .parsing import ParseDiagnostics, ParsedLabels, parse_classification
 from .prompts import TaskDescription, build_prompt
 
 
+# longest classify_corpus waits before it sees a pending KeyboardInterrupt
+_INTERRUPT_POLL_S = 0.05
+
+
 class ClassificationAborted(GatewayError):
     """A batch failed permanently; partial results stay in the audit log."""
 
@@ -102,7 +106,8 @@ def classify_corpus(
 
     Batches run with up to `config.concurrency` requests in flight; results
     are reassembled in batch order. The first permanent failure aborts the
-    run: batches not yet started are cancelled and send no request.
+    run: batches not yet started are cancelled and send no request. So does
+    a KeyboardInterrupt, which is re-raised once the requests in flight end.
     """
     if not items:
         raise GatewayError("no documents to classify")
@@ -153,9 +158,19 @@ def classify_corpus(
 
     with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
         futures = [pool.submit(run_guarded, b) for b in range(len(batches))]
-        wait(futures, return_when=FIRST_EXCEPTION)
-        for future in futures:
-            future.cancel()
+        try:
+            # waits in slices: an interrupt that does not wake a blocked wait
+            # (raised from another thread, or a signal that landed on a
+            # worker) would otherwise surface only once every batch had run
+            pending = futures
+            while pending and not doomed.is_set():
+                _, pending = wait(pending, timeout=_INTERRUPT_POLL_S, return_when=FIRST_EXCEPTION)
+        except BaseException:  # Ctrl-C: start no further requests, then re-raise
+            doomed.set()
+            raise
+        finally:
+            for future in futures:
+                future.cancel()
     errors = [f.exception() for f in futures if not f.cancelled()]
     failure = next((exc for exc in errors if exc is not None), None)
     if failure is not None:

@@ -9,12 +9,16 @@ surface immediately.
 
 from __future__ import annotations
 
+import json
 import os
 import queue
 import random
+import select
 import time
 from dataclasses import dataclass, field
+from urllib.parse import unquote, urlsplit, urlunsplit
 
+from .. import __version__
 from .prompts import PromptBundle
 
 
@@ -132,10 +136,14 @@ class HttpProvider:
     """POSTs chat-completion bodies to an OpenAI-compatible endpoint.
 
     The bearer token is read from the named environment variable; it is
-    never stored in configs or logs. requests.Session is not documented as
-    thread-safe, so each request checks an idle session out of a pool and
-    back in when done. No two requests in flight share a session, and the
-    sessions outlive the threads that used them.
+    never stored in configs or logs. Each request checks an idle stdlib
+    `http.client` connection out of a pool, or opens one, and puts it back
+    once the whole response is read, so no two requests in flight share a
+    connection and connections outlive the threads that used them. A
+    connection the server closed while idle is reopened before use.
+    `http_proxy`, `https_proxy` and `no_proxy` are honoured (an https
+    endpoint is reached through a CONNECT tunnel); redirects are not
+    followed, so the token never goes to another host.
     """
 
     def __init__(
@@ -144,13 +152,72 @@ class HttpProvider:
         api_key_env: str = "OPENAI_API_KEY",
         timeout_s: float = 60.0,
     ):
-        self.endpoint = endpoint
-        self.api_key_env = api_key_env
-        self.timeout_s = timeout_s
         # imported here, while the config is validated, not at package import
-        import requests
+        import http.client
+        import ssl
+        from urllib.request import getproxies, proxy_bypass
 
-        self._idle: queue.SimpleQueue[requests.Session] = queue.SimpleQueue()
+        url = urlsplit(endpoint) if isinstance(endpoint, str) else None
+        if url is None or url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"endpoint: expected an http or https URL, got {endpoint!r}")
+        host = url.hostname
+        port = url.port or (443 if url.scheme == "https" else 80)
+        self.api_key_env = api_key_env
+        self._headers = {
+            "Content-Type": "application/json",
+            "User-Agent": f"zsbench/{__version__}",
+        }
+        self._target = urlunsplit(("", "", url.path or "/", url.query, ""))
+        if url.scheme == "https":
+            tls = {"context": ssl.create_default_context()}
+            connection_class = http.client.HTTPSConnection
+        else:
+            tls = {}
+            connection_class = http.client.HTTPConnection
+
+        address, tunnel = (host, port), None
+        proxy = getproxies().get(url.scheme)
+        if proxy and not proxy_bypass(f"{host}:{port}"):
+            proxy_url = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            if proxy_url.scheme != "http" or not proxy_url.hostname:
+                # the proxy URL is not echoed: it may hold a password
+                raise ValueError(f"{url.scheme}_proxy: expected an http:// proxy URL")
+            address = (proxy_url.hostname, proxy_url.port or 80)
+            proxy_headers = {}
+            if proxy_url.username is not None:
+                from base64 import b64encode
+
+                credentials = f"{unquote(proxy_url.username)}:{unquote(proxy_url.password or '')}"
+                proxy_headers["Proxy-Authorization"] = (
+                    "Basic " + b64encode(credentials.encode()).decode()
+                )
+            if url.scheme == "https":
+                tunnel = (host, port, proxy_headers)
+            else:
+                # a plain-http proxy takes the request line in absolute form
+                self._headers.update(proxy_headers)
+                self._target = f"http://{url.netloc.rpartition('@')[2]}{self._target}"
+
+        def connect():
+            conn = connection_class(*address, timeout=timeout_s, **tls)
+            if tunnel is not None:
+                conn.set_tunnel(*tunnel)
+            return conn
+
+        self._connect = connect
+        self._idle = queue.SimpleQueue()
+
+    def _checkout(self):
+        """An idle connection, or a new one when none is idle."""
+        try:
+            conn = self._idle.get_nowait()
+        except queue.Empty:
+            return self._connect()
+        # an idle socket that reads as ready was closed by the server (urllib3
+        # makes the same check); close it, and the request reconnects
+        if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+            conn.close()
+        return conn
 
     def complete(self, body: dict) -> tuple[str, dict]:
         """Returns (assistant_text, metadata). Raises ProviderError."""
@@ -159,39 +226,37 @@ class HttpProvider:
             raise AuthenticationError(
                 f"environment variable {self.api_key_env} is not set"
             )
-        headers = {
-            "Authorization": f"Bearer {api_key}",
-            "Content-Type": "application/json",
-        }
-        import requests  # loaded by __init__: this only binds the name
+        data = json.dumps(body, allow_nan=False).encode()
+        headers = {**self._headers, "Authorization": f"Bearer {api_key}"}
+        from http.client import HTTPException  # loaded by __init__: this only binds the name
 
+        conn = self._checkout()
         try:
-            session = self._idle.get_nowait()
-        except queue.Empty:
-            session = requests.Session()
-        try:
-            resp = session.post(
-                self.endpoint, json=body, headers=headers, timeout=self.timeout_s
-            )
-        except requests.RequestException as exc:
+            conn.request("POST", self._target, body=data, headers=headers)
+            resp = conn.getresponse()
+            raw = resp.read()
+        except (OSError, HTTPException) as exc:
+            conn.close()
             raise ProviderError(f"transport error: {exc}", retryable=True) from exc
-        finally:
-            self._idle.put(session)
+        # back in the pool only once its whole response has been read
+        self._idle.put(conn)
 
-        if resp.status_code in (401, 403):
-            raise AuthenticationError(f"authentication failed (HTTP {resp.status_code})")
-        if resp.status_code in (429, 503):
-            retry_after = _parse_retry_after(resp.headers.get("Retry-After"))
-            raise ProviderError(
-                f"HTTP {resp.status_code}", retryable=True, retry_after=retry_after
-            )
-        if resp.status_code >= 500:
-            raise ProviderError(f"HTTP {resp.status_code}", retryable=True)
-        if resp.status_code != 200:
-            raise ProviderError(f"HTTP {resp.status_code}: {resp.text[:200]}", retryable=False)
+        status = resp.status
+        if status in (401, 403):
+            raise AuthenticationError(f"authentication failed (HTTP {status})")
+        if status in (429, 503):
+            retry_after = _parse_retry_after(resp.getheader("Retry-After"))
+            raise ProviderError(f"HTTP {status}", retryable=True, retry_after=retry_after)
+        if status >= 500:
+            raise ProviderError(f"HTTP {status}", retryable=True)
+        if 300 <= status < 400:
+            raise ProviderError(f"HTTP {status}: redirects are not followed", retryable=False)
+        if status != 200:
+            detail = raw[:200].decode("utf-8", "replace")
+            raise ProviderError(f"HTTP {status}: {detail}", retryable=False)
 
         try:
-            payload = resp.json()
+            payload = json.loads(raw)
             text = payload["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"malformed provider response: {exc}", retryable=False) from exc

@@ -229,6 +229,9 @@ def validate_config(raw: str) -> ExperimentConfig:
     schema_data = _checked_object(
         _require(ds, "schema", "dataset"), "dataset.schema", [f.name for f in fields(LabelSchema)]
     )
+    labels = _require(schema_data, "labels", "dataset.schema")
+    if type(labels) is not list or not all(type(label) is str for label in labels):
+        raise ConfigError(f"dataset.schema.labels: expected a list of strings, got {labels!r}")
     try:
         schema = LabelSchema.from_json_dict(schema_data)
     except (KeyError, TypeError, ValueError) as exc:
@@ -236,8 +239,9 @@ def validate_config(raw: str) -> ExperimentConfig:
     fmt = ds.get("format", "csv")
     if fmt not in ("csv", "jsonl"):
         raise ConfigError(f"dataset.format: expected csv|jsonl, got {fmt!r}")
+    _require(ds, "path", "dataset")
     dataset = DatasetSpec(
-        path=str(_require(ds, "path", "dataset")),
+        path=_typed(ds, "dataset.path", ""),
         format=fmt,
         text_field=_typed(ds, "dataset.text_field", "text"),
         label_field=_typed(ds, "dataset.label_field", "label"),

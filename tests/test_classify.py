@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import _thread
 import json
 import sys
 import threading
+import time
 
 import pytest
 
@@ -180,6 +182,31 @@ class TestReAskAndFallback:
         finally:
             sys.setswitchinterval(interval)
         assert 1 <= provider.calls <= 2 * concurrency
+
+    def test_keyboard_interrupt_stops_further_requests(self, ecommerce_schema):
+        rules = KeywordRuleProvider(ecommerce_schema, FIXTURE_RULES, FIXTURE_DEFAULT_LABEL)
+        calls = 0
+        lock = threading.Lock()
+
+        class InterruptingProvider:
+            """Answers by keyword after 50 ms; its 3rd call raises Ctrl-C in the caller."""
+
+            def complete(self, body):
+                nonlocal calls
+                with lock:
+                    calls += 1
+                    interrupt = calls == 3
+                if interrupt:
+                    _thread.interrupt_main()
+                time.sleep(0.05)
+                return rules.complete(body)
+
+        docs = make_docs([f"usb item {i}" for i in range(40)])
+        config = LlmRunConfig(model="m", batch_size=1, concurrency=2, **FAST)
+        with pytest.raises(KeyboardInterrupt):
+            classify_corpus(docs, ecommerce_schema, ECOMMERCE_TASK, config, InterruptingProvider())
+        # only the batches in flight when the interrupt landed may send more
+        assert 3 <= calls <= 3 + 2 * config.concurrency
 
 
 class TestAuditLog:

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import base64
 import json
+import os
+import ssl
 import threading
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-import requests
 
+from zsbench import __version__
 from zsbench.gateway import client
 from zsbench.gateway.classify import classify_corpus
 from zsbench.gateway.client import (
@@ -90,93 +93,28 @@ class TestCompleteChat:
             complete_chat(bundle, LlmRunConfig(model="m", max_retries=3, **FAST), provider)
 
 
-class _FakeResponse:
-    def __init__(self, status_code: int, payload=None, text: str = ""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
-        self.headers = {}
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no json")
-        return self._payload
-
-
-class _FakeSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.requests = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.requests.append({"url": url, "json": json, "headers": headers})
-        return self.responses.pop(0)
-
-
-class TestHttpProvider:
-    def _provider(self, responses, monkeypatch):
-        monkeypatch.setenv("TEST_API_KEY", "sk-test")
-        provider = HttpProvider(
-            "https://api.example.com/v1/chat/completions", api_key_env="TEST_API_KEY"
-        )
-        provider._idle.put(_FakeSession(responses))
-        return provider
-
-    def test_parses_chat_completion(self, monkeypatch):
-        payload = {
-            "model": "gpt-4-1106-preview",
-            "usage": {"total_tokens": 10},
-            "choices": [{"message": {"content": '{"0": "Books"}'}}],
-        }
-        provider = self._provider([_FakeResponse(200, payload)], monkeypatch)
-        text, meta = provider.complete({"model": "m", "messages": []})
-        assert text == '{"0": "Books"}'
-        assert meta["model"] == "gpt-4-1106-preview"
-        sent = provider._idle.get_nowait().requests[0]
-        assert sent["headers"]["Authorization"] == "Bearer sk-test"
-
-    def test_missing_api_key(self, monkeypatch):
-        monkeypatch.delenv("ABSENT_KEY", raising=False)
-        provider = HttpProvider("https://x/v1", api_key_env="ABSENT_KEY")
-        provider._idle.put(_FakeSession([]))
-        with pytest.raises(AuthenticationError, match="ABSENT_KEY"):
-            provider.complete({})
-
-    def test_status_mapping(self, monkeypatch):
-        provider = self._provider(
-            [
-                _FakeResponse(429),
-                _FakeResponse(503),
-                _FakeResponse(401),
-                _FakeResponse(418, text="teapot"),
-            ],
-            monkeypatch,
-        )
-        for retryable in (True, True):
-            with pytest.raises(ProviderError) as exc_info:
-                provider.complete({})
-            assert exc_info.value.retryable is retryable
-        with pytest.raises(AuthenticationError):
-            provider.complete({})
-        with pytest.raises(ProviderError) as exc_info:
-            provider.complete({})
-        assert exc_info.value.retryable is False
-
-    def test_malformed_payload(self, monkeypatch):
-        provider = self._provider([_FakeResponse(200, {"choices": []})], monkeypatch)
-        with pytest.raises(ProviderError, match="malformed"):
-            provider.complete({})
-
-
 COMPLETION = {"model": "local", "choices": [{"message": {"content": '{"0": "Books"}'}}]}
 
 
 class _LocalEndpoint:
-    """Chat endpoint on 127.0.0.1: replays (status, Retry-After) pairs, then 200s."""
+    """Chat endpoint on 127.0.0.1.
+
+    Replays (status, Retry-After[, body[, headers]]) entries, then 200s with
+    COMPLETION; a dict body is sent as JSON. Every request is recorded in
+    `seen` with the client's address, so connections can be counted. With
+    `close_after_reply` set, the server closes each connection after its
+    reply without announcing it, as an endpoint's idle timeout does;
+    `disconnected` is set whenever the server has closed a connection.
+    `on_request` runs before each reply, outside the lock. A CONNECT is
+    recorded and answered 200, then the connection is closed.
+    """
 
     def __init__(self, script=()):
         self.script = list(script)
-        self.requests = 0
+        self.seen: list[dict] = []
+        self.close_after_reply = False
+        self.on_request = lambda: None
+        self.disconnected = threading.Event()
         lock = threading.Lock()
         endpoint = self
 
@@ -187,29 +125,63 @@ class _LocalEndpoint:
             def log_message(self, *args):
                 pass
 
+            def _record(self, body: bytes) -> None:
+                endpoint.seen.append(
+                    {"client": self.client_address, "method": self.command,
+                     "target": self.path, "headers": dict(self.headers), "body": body}
+                )
+
             def do_POST(self):
-                self.rfile.read(int(self.headers.get("Content-Length", 0)))
+                body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
                 with lock:
-                    endpoint.requests += 1
-                    status, retry_after = (
-                        endpoint.script.pop(0) if endpoint.script else (200, None)
-                    )
-                data = json.dumps(COMPLETION if status == 200 else {"error": "busy"}).encode()
+                    self._record(body)
+                    entry = endpoint.script.pop(0) if endpoint.script else (200, None)
+                status, retry_after, *rest = entry
+                payload = rest[0] if rest else (COMPLETION if status == 200 else {"error": "busy"})
+                headers = rest[1] if len(rest) > 1 else {}
+                endpoint.on_request()
+                data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
                 self.send_response(status)
                 if retry_after is not None:
                     self.send_header("Retry-After", retry_after)
+                for name, value in headers.items():
+                    self.send_header(name, value)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
                 self.end_headers()
                 self.wfile.write(data)
+                self.close_connection = endpoint.close_after_reply
 
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.server.daemon_threads = True
+            def do_CONNECT(self):
+                with lock:
+                    self._record(b"")
+                self.send_response(200)
+                self.end_headers()
+                self.close_connection = True
+
+        class Server(ThreadingHTTPServer):
+            daemon_threads = True
+
+            def shutdown_request(self, request):
+                super().shutdown_request(request)
+                endpoint.disconnected.set()
+
+        self.server = Server(("127.0.0.1", 0), Handler)
         self.thread = threading.Thread(
             target=self.server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
         )
         self.thread.start()
-        self.url = f"http://127.0.0.1:{self.server.server_address[1]}/v1/chat/completions"
+        self.address = f"127.0.0.1:{self.server.server_address[1]}"
+        self.url = f"http://{self.address}/v1/chat/completions"
+
+    @property
+    def requests(self) -> int:
+        return len(self.seen)
+
+    @property
+    def connections(self) -> int:
+        """Distinct client connections the requests arrived on."""
+        return len({request["client"] for request in self.seen})
 
     def close(self):
         self.server.shutdown()
@@ -218,7 +190,15 @@ class _LocalEndpoint:
 
 
 @pytest.fixture
-def local_endpoint(monkeypatch):
+def no_proxy_env(monkeypatch):
+    """No proxy variable from the environment the tests run in."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+
+
+@pytest.fixture
+def local_endpoint(monkeypatch, no_proxy_env):
     monkeypatch.setenv("TEST_API_KEY", "sk-test")
     endpoints = []
 
@@ -229,6 +209,135 @@ def local_endpoint(monkeypatch):
     yield start
     for endpoint in endpoints:
         endpoint.close()
+
+
+class TestHttpProvider:
+    def _provider(self, script, local_endpoint):
+        endpoint = local_endpoint(script)
+        return endpoint, HttpProvider(endpoint.url, api_key_env="TEST_API_KEY")
+
+    def test_parses_chat_completion(self, local_endpoint):
+        payload = {
+            "model": "gpt-4-1106-preview",
+            "usage": {"total_tokens": 10},
+            "choices": [{"message": {"content": '{"0": "Books"}'}}],
+        }
+        endpoint, provider = self._provider([(200, None, payload)], local_endpoint)
+        body = {"model": "m", "messages": [{"role": "user", "content": "café"}]}
+        text, meta = provider.complete(body)
+        assert text == '{"0": "Books"}'
+        assert meta == {"model": "gpt-4-1106-preview", "usage": {"total_tokens": 10}}
+        (sent,) = endpoint.seen
+        assert (sent["method"], sent["target"]) == ("POST", "/v1/chat/completions")
+        assert sent["headers"]["Authorization"] == "Bearer sk-test"
+        assert sent["headers"]["Content-Type"] == "application/json"
+        assert sent["headers"]["User-Agent"] == f"zsbench/{__version__}"
+        assert sent["body"] == json.dumps(body).encode()
+
+    def test_missing_api_key(self, monkeypatch):
+        monkeypatch.delenv("ABSENT_KEY", raising=False)
+        provider = HttpProvider("https://x/v1", api_key_env="ABSENT_KEY")
+        with pytest.raises(AuthenticationError, match="ABSENT_KEY"):
+            provider.complete({})
+
+    def test_status_mapping(self, local_endpoint):
+        endpoint, provider = self._provider(
+            [(429, None), (503, None), (500, None), (401, None), (403, None),
+             (418, None, b"teapot")],
+            local_endpoint,
+        )
+        for _ in range(3):
+            with pytest.raises(ProviderError) as exc_info:
+                provider.complete({})
+            assert exc_info.value.retryable is True
+        for _ in range(2):
+            with pytest.raises(AuthenticationError):
+                provider.complete({})
+        with pytest.raises(ProviderError, match="HTTP 418: teapot") as exc_info:
+            provider.complete({})
+        assert exc_info.value.retryable is False
+        # every reply was read whole, so one connection carried them all
+        assert endpoint.requests == 6 and endpoint.connections == 1
+
+    def test_malformed_payload(self, local_endpoint):
+        _, provider = self._provider(
+            [(200, None, {"choices": []}), (200, None, b"not json")], local_endpoint
+        )
+        for _ in range(2):
+            with pytest.raises(ProviderError, match="malformed") as exc_info:
+                provider.complete({})
+            assert exc_info.value.retryable is False
+
+    def test_redirect_not_followed(self, local_endpoint):
+        elsewhere = local_endpoint()
+        endpoint, provider = self._provider(
+            [(307, None, {"error": "moved"}, {"Location": elsewhere.url})], local_endpoint
+        )
+        with pytest.raises(ProviderError, match="HTTP 307") as exc_info:
+            provider.complete({})
+        assert exc_info.value.retryable is False
+        assert endpoint.requests == 1
+        assert elsewhere.requests == 0  # the token went to no other host
+
+    @pytest.mark.parametrize(
+        "endpoint", [5, None, "ftp://x/v1", "http:///v1", "api.example.com/v1"]
+    )
+    def test_endpoint_must_be_an_http_url(self, endpoint):
+        with pytest.raises(ValueError, match="endpoint: expected an http or https URL"):
+            HttpProvider(endpoint)
+
+    def test_https_verifies_certificates_and_hostname(self):
+        provider = HttpProvider("https://api.example.com/v1/chat/completions")
+        conn = provider._checkout()  # built, not connected
+        assert (conn.host, conn.port) == ("api.example.com", 443)
+        assert conn._context.check_hostname is True
+        assert conn._context.verify_mode == ssl.CERT_REQUIRED
+
+
+class TestProxy:
+    def test_http_proxy_gets_the_absolute_form(self, local_endpoint, monkeypatch):
+        proxy, origin = local_endpoint(), local_endpoint()
+        monkeypatch.setenv("http_proxy", f"http://user:p%40ss@{proxy.address}")
+        provider = HttpProvider(origin.url, api_key_env="TEST_API_KEY")
+        for _ in range(2):
+            assert provider.complete({"model": "m"})[0] == '{"0": "Books"}'
+        assert origin.requests == 0
+        assert proxy.requests == 2 and proxy.connections == 1
+        credentials = base64.b64encode(b"user:p@ss").decode()
+        for sent in proxy.seen:
+            assert sent["target"] == origin.url
+            assert sent["headers"]["Host"] == origin.address
+            assert sent["headers"]["Authorization"] == "Bearer sk-test"
+            assert sent["headers"]["Proxy-Authorization"] == f"Basic {credentials}"
+
+    def test_no_proxy_bypasses_it(self, local_endpoint, monkeypatch):
+        proxy, origin = local_endpoint(), local_endpoint()
+        monkeypatch.setenv("http_proxy", f"http://{proxy.address}")
+        monkeypatch.setenv("no_proxy", "localhost,127.0.0.1")
+        provider = HttpProvider(origin.url, api_key_env="TEST_API_KEY")
+        provider.complete({"model": "m"})
+        assert (origin.requests, proxy.requests) == (1, 0)
+        assert origin.seen[0]["target"] == "/v1/chat/completions"
+
+    def test_https_goes_through_a_connect_tunnel(self, local_endpoint, monkeypatch):
+        proxy = local_endpoint()
+        monkeypatch.setenv("https_proxy", f"http://user:pw@{proxy.address}")
+        # port 9 on loopback: nothing answers there if the tunnel is bypassed
+        provider = HttpProvider("https://127.0.0.1:9/v1", api_key_env="TEST_API_KEY")
+        # the test proxy closes the tunnel instead of relaying the TLS handshake
+        with pytest.raises(ProviderError, match="transport error") as exc_info:
+            provider.complete({"model": "m"})
+        assert exc_info.value.retryable is True
+        (sent,) = proxy.seen
+        assert (sent["method"], sent["target"]) == ("CONNECT", "127.0.0.1:9")
+        assert sent["headers"]["Proxy-Authorization"].startswith("Basic ")
+        assert "Authorization" not in sent["headers"]
+
+    @pytest.mark.parametrize("proxy", ["https://proxy:3128", "socks5://proxy:1080"])
+    def test_only_http_proxies(self, no_proxy_env, monkeypatch, proxy):
+        monkeypatch.setenv("https_proxy", proxy)
+        with pytest.raises(ValueError, match=r"^https_proxy: expected an http:// proxy URL$"):
+            HttpProvider("https://api.example.com/v1")
 
 
 @pytest.fixture
@@ -301,38 +410,13 @@ class TestRetryAfter:
 
 
 class TestSessions:
-    @pytest.fixture
-    def recording_session(self, monkeypatch):
-        """Patches requests.Session to log each session built and each request it serves."""
-        log = {"built": [], "posts": [], "shared": [], "on_post": lambda: None}
-        in_flight: set[int] = set()
-        lock = threading.Lock()
+    """Pooled connections, counted on the server side by client address."""
 
-        class RecordingSession(requests.Session):
-            def __init__(self):
-                super().__init__()
-                log["built"].append(self)
-
-            def post(self, *args, **kwargs):
-                with lock:
-                    if id(self) in in_flight:
-                        log["shared"].append(self)
-                    in_flight.add(id(self))
-                    log["posts"].append(self)
-                try:
-                    log["on_post"]()
-                    return super().post(*args, **kwargs)
-                finally:
-                    with lock:
-                        in_flight.discard(id(self))
-
-        monkeypatch.setattr(requests, "Session", RecordingSession)
-        return log
-
-    def test_concurrent_requests_never_share_a_session(self, local_endpoint, recording_session):
-        both_in_flight = threading.Barrier(2, timeout=10)
-        recording_session["on_post"] = both_in_flight.wait
+    def test_concurrent_requests_never_share_a_session(self, local_endpoint):
         endpoint = local_endpoint()
+        # a request waits here for a second one in flight: two requests on
+        # one connection could never both be in flight
+        endpoint.on_request = threading.Barrier(2, timeout=10).wait
         provider = HttpProvider(endpoint.url, api_key_env="TEST_API_KEY")
         errors = []
 
@@ -347,16 +431,14 @@ class TestSessions:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=30)
+            assert not thread.is_alive()
         assert errors == []
-        assert len(recording_session["posts"]) == 4
-        assert recording_session["shared"] == []
-        # each round had two requests in flight; the second reused the first's sessions
-        assert len(recording_session["built"]) == 2
+        # each round had two requests in flight; the second reused the first's connections
+        assert endpoint.requests == 4
+        assert endpoint.connections == 2
 
-    def test_sessions_outlive_classify_repeats(
-        self, local_endpoint, recording_session, ecommerce_schema
-    ):
+    def test_sessions_outlive_classify_repeats(self, local_endpoint, ecommerce_schema):
         endpoint = local_endpoint()
         provider = HttpProvider(endpoint.url, api_key_env="TEST_API_KEY")
         docs = [(i, f"item {i}") for i in range(8)]
@@ -364,5 +446,15 @@ class TestSessions:
         for _ in range(5):
             classify_corpus(docs, ecommerce_schema, ECOMMERCE_TASK, config, provider)
         assert endpoint.requests >= 20
-        assert recording_session["shared"] == []
-        assert 1 <= len(recording_session["built"]) <= 2
+        assert 1 <= endpoint.connections <= 2
+
+    def test_connection_closed_while_idle_is_reopened(self, local_endpoint):
+        endpoint = local_endpoint()
+        endpoint.close_after_reply = True
+        provider = HttpProvider(endpoint.url, api_key_env="TEST_API_KEY")
+        for _ in range(3):
+            # one attempt each: reusing the closed socket would raise ProviderError
+            assert provider.complete({"model": "m"})[0] == '{"0": "Books"}'
+            assert endpoint.disconnected.wait(10)
+            endpoint.disconnected.clear()
+        assert endpoint.requests == 3 and endpoint.connections == 3

@@ -3,8 +3,9 @@
 Each case starts a fresh interpreter, as `zsbench run` does, on the fixture
 corpus. It imports `zsbench.cli`, loads the config and optionally runs it, and
 reports `sys.modules` after `load_config` and after `run_experiment`. scipy
-comes with the baselines and requests with an `http` provider; whatever a
-config needs is imported while it is validated, so the run imports none of it.
+comes with the baselines and the stdlib `http.client` with an `http` provider;
+whatever a config needs is imported while it is validated, so the run imports
+none of it. No config loads `requests` or the libraries it brings.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ if sys.argv[2] == "run":
 print(json.dumps(out))
 """
 
+# requests and its dependencies; numpy.f2py, which scipy.sparse imports,
+# loads charset_normalizer on its own, so that one is checked without scipy
+REQUESTS_STACK = ("requests", "urllib3", "idna", "charset_normalizer")
+
 TRAINER_MODULES = {
     f"zsbench.baselines.{name}" for name in ("common", "mnb", "logreg", "knn", "tree", "splitter")
 }
@@ -68,8 +73,9 @@ def under(modules, *packages: str) -> set[str]:
 def test_llm_only_run_loads_no_scipy_requests_or_trainer(tmp_path):
     out = footprint(tmp_path, [mock_llm_predictor(repeat_count=2)], run=True)
     ran = set(out["ran"])
-    assert under(ran, "scipy", "requests", "urllib3") == set()
+    assert under(ran, "scipy", *REQUESTS_STACK) == set()
     assert ran & TRAINER_MODULES == set()
+    assert under(ran, "http.client", "ssl") == set()
     assert under(ran, "subprocess") == set()
 
 
@@ -95,10 +101,10 @@ def test_baselines_are_loaded_by_load_config(tmp_path, roster, trainers):
     assert loaded & TRAINER_MODULES == trainers
     # the run imports nothing of zsbench, scipy or numpy: validation did it all
     assert under(ran - loaded, "zsbench", "scipy", "numpy") == set()
-    assert under(ran, "requests", "urllib3") == set()
+    assert under(ran, *REQUESTS_STACK[:3]) == set()
 
 
-def test_http_provider_loads_requests_while_validating(tmp_path):
+def test_http_provider_loads_http_client_while_validating(tmp_path):
     entry = {
         "name": "http-llm",
         "type": "llm",
@@ -106,5 +112,5 @@ def test_http_provider_loads_requests_while_validating(tmp_path):
         "provider": {"type": "http", "endpoint": "http://127.0.0.1:9/v1/chat/completions"},
     }
     loaded = set(footprint(tmp_path, [entry], run=False)["loaded"])
-    assert "requests" in loaded
-    assert under(loaded, "scipy") == set()
+    assert "http.client" in loaded
+    assert under(loaded, "scipy", *REQUESTS_STACK) == set()

@@ -1,10 +1,10 @@
 from __future__ import annotations
 
+import http.client
 import json
 import re
 
 import pytest
-import requests
 
 from conftest import fixture_experiment_config, mock_llm_predictor
 from zsbench import cli, orchestrator, preprocess
@@ -152,9 +152,17 @@ class TestValidateConfig:
             (("features", "l2_normalize"), "false", r"features\.l2_normalize"),
             (("split", "test_size"), True, r"split\.test_size"),
             (("features", "min_df"), True, r"features\.min_df"),
+            (("dataset", "schema", "labels"), "spam", r"dataset\.schema\.labels"),
+            (("dataset", "schema", "labels"), [1, 2], r"dataset\.schema\.labels"),
+            (("dataset", "path"), ["a"], r"dataset\.path"),
+            (("predictors", 2, "provider", "endpoint"), 5,
+             r"predictors\[2\]\.provider: endpoint"),
+            (("predictors", 2, "provider", "endpoint"), "ftp://x",
+             r"predictors\[2\]\.provider: endpoint"),
         ],
         ids=["list-seed", "list-text-field", "list-label-field", "string-l2-normalize",
-             "bool-test-size", "bool-min-df"],
+             "bool-test-size", "bool-min-df", "string-labels", "int-labels", "list-path",
+             "int-endpoint", "ftp-endpoint"],
     )
     def test_wrongly_typed_field_rejected_with_location(
         self, fixture_corpus_path, tmp_path, path, value, where
@@ -180,7 +188,7 @@ class TestValidateConfig:
         def refuse(*args, **kwargs):
             raise AssertionError("validation sent a request")
 
-        monkeypatch.setattr(requests.Session, "request", refuse)
+        monkeypatch.setattr(http.client.HTTPConnection, "request", refuse)
         config = validate_config(json.dumps(self._every_level(fixture_corpus_path, tmp_path)))
         assert config.predictors[2].provider["api_key_env"] == "EXAMPLE_API_KEY"
 
