@@ -32,17 +32,33 @@ class KnnModel:
     def predict_proba(self, x: sparse.csr_matrix) -> np.ndarray:
         votes = np.zeros((x.shape[0], len(self.schema)))
         for start in range(0, x.shape[0], _BLOCK_ROWS):
-            block = x[start : start + _BLOCK_ROWS]
-            norms = np.sqrt(block.multiply(block) @ np.ones(block.shape[1]))
-            sims = (self.x @ block.T).T.toarray() * self._inv_norms
-            nonzero = norms > 0
-            sims[nonzero] /= norms[nonzero, None]
-            sims[~nonzero] = 0.0
-            nearest = self.y[np.argsort(-sims, axis=1, kind="stable")[:, : self.k]]
+            nearest = self.y[self._nearest(x[start : start + _BLOCK_ROWS])]
             rows = votes[start : start + _BLOCK_ROWS]
             for label in range(rows.shape[1]):
                 rows[:, label] = (nearest == label).sum(axis=1)
         return normalize_rows(votes / self.k)
+
+    def _nearest(self, block: sparse.csr_matrix) -> np.ndarray:
+        """(rows, k) training rows of each query's k most similar, in no order.
+
+        A block's dense similarities die on return, before the next block's.
+        """
+        k, n_train = self.k, self.x.shape[0]
+        norms = np.sqrt(block.multiply(block) @ np.ones(block.shape[1]))[:, None]
+        sims = (self.x @ block.T).T.toarray()
+        sims *= self._inv_norms
+        nonzero = norms > 0
+        np.divide(sims, norms, out=sims, where=nonzero)
+        if not nonzero.all():  # a query whose norm underflows to 0 is a zero vector
+            sims[~nonzero[:, 0]] = 0.0
+        nearest = np.argpartition(sims, n_train - k, axis=1)[:, n_train - k :]
+        kth = sims[np.arange(len(sims))[:, None], nearest].min(axis=1, keepdims=True)
+        # where the k-th value is tied outside that set, the set is the lowest
+        # training rows among the ties, as a stable sort orders them
+        tied = np.flatnonzero(np.count_nonzero(sims >= kth, axis=1) > k)
+        if len(tied):
+            nearest[tied] = np.argsort(-sims[tied], axis=1, kind="stable")[:, :k]
+        return nearest
 
 
 def train_knn(x: sparse.csr_matrix, labels: list[str], schema: LabelSchema, k: int = 5) -> KnnModel:

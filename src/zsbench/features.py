@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import chain, repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -44,25 +45,26 @@ class Vectorizer:
         """
         from scipy import sparse  # here, so a run without baselines never loads scipy
 
-        vocab = self.vocabulary
-        indices: list[int] = []
-        counts: list[int] = []
-        indptr = [0]
-        for doc in docs:
-            row = Counter(vocab[t] for t in doc if t in vocab)
-            terms = sorted(row)
-            indices.extend(terms)
-            counts.extend(row[t] for t in terms)
-            indptr.append(len(indices))
-        cols = np.array(indices, dtype=np.int32)
-        data = np.array(counts, dtype=float) * self.idf[cols]
+        # one entry of 1 per token, summed per (row, column) by scipy, which
+        # sorts each row's columns; an out-of-vocabulary token goes to an
+        # extra last column, dropped afterwards
+        n_docs, dim = len(docs), self.dim
+        indptr = np.zeros(n_docs + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, docs), np.int64, n_docs), out=indptr[1:])
+        tokens = chain.from_iterable(docs)
+        cols = np.fromiter(map(self.vocabulary.get, tokens, repeat(dim)), np.int32, indptr[-1])
+        counts = sparse.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(n_docs, dim + 1))
+        counts.sum_duplicates()
+        x = counts[:, :dim]
+        del counts
+        x.data *= self.idf[x.indices]
         if self.l2_normalize:
-            for start, end in zip(indptr, indptr[1:]):
+            data, bounds = x.data, x.indptr.tolist()
+            for start, end in zip(bounds, bounds[1:]):
                 if end > start:
-                    data[start:end] /= np.linalg.norm(data[start:end])
-        return sparse.csr_matrix(
-            (data, cols, np.array(indptr, dtype=np.int32)), shape=(len(docs), self.dim)
-        )
+                    seg = data[start:end]
+                    seg /= math.sqrt(seg @ seg)
+        return x
 
 
 def fit_vectorizer(

@@ -9,6 +9,7 @@ surface immediately.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import queue
@@ -132,6 +133,15 @@ def _parse_retry_after(value: str | None) -> float | None:
     return max(0.0, (when - datetime.now(timezone.utc)).total_seconds())
 
 
+@functools.cache
+def _tls_context():
+    """The default TLS context, built on the first https connection and
+    shared by every later one: it loads the CA store, which takes tens of ms."""
+    import ssl
+
+    return ssl.create_default_context()
+
+
 class HttpProvider:
     """POSTs chat-completion bodies to an OpenAI-compatible endpoint.
 
@@ -143,7 +153,8 @@ class HttpProvider:
     connection the server closed while idle is reopened before use.
     `http_proxy`, `https_proxy` and `no_proxy` are honoured (an https
     endpoint is reached through a CONNECT tunnel); redirects are not
-    followed, so the token never goes to another host.
+    followed, so the token never goes to another host. `close()` closes
+    the idle connections; the owner calls it once no request is in flight.
     """
 
     def __init__(
@@ -154,7 +165,6 @@ class HttpProvider:
     ):
         # imported here, while the config is validated, not at package import
         import http.client
-        import ssl
         from urllib.request import getproxies, proxy_bypass
 
         url = urlsplit(endpoint) if isinstance(endpoint, str) else None
@@ -168,12 +178,8 @@ class HttpProvider:
             "User-Agent": f"zsbench/{__version__}",
         }
         self._target = urlunsplit(("", "", url.path or "/", url.query, ""))
-        if url.scheme == "https":
-            tls = {"context": ssl.create_default_context()}
-            connection_class = http.client.HTTPSConnection
-        else:
-            tls = {}
-            connection_class = http.client.HTTPConnection
+        https = url.scheme == "https"
+        connection_class = http.client.HTTPSConnection if https else http.client.HTTPConnection
 
         address, tunnel = (host, port), None
         proxy = getproxies().get(url.scheme)
@@ -191,7 +197,7 @@ class HttpProvider:
                 proxy_headers["Proxy-Authorization"] = (
                     "Basic " + b64encode(credentials.encode()).decode()
                 )
-            if url.scheme == "https":
+            if https:
                 tunnel = (host, port, proxy_headers)
             else:
                 # a plain-http proxy takes the request line in absolute form
@@ -199,6 +205,7 @@ class HttpProvider:
                 self._target = f"http://{url.netloc.rpartition('@')[2]}{self._target}"
 
         def connect():
+            tls = {"context": _tls_context()} if https else {}
             conn = connection_class(*address, timeout=timeout_s, **tls)
             if tunnel is not None:
                 conn.set_tunnel(*tunnel)
@@ -218,6 +225,15 @@ class HttpProvider:
         if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
             conn.close()
         return conn
+
+    def close(self) -> None:
+        """Close every idle pooled connection; a later request opens a new one."""
+        while True:
+            try:
+                conn = self._idle.get_nowait()
+            except queue.Empty:
+                return
+            conn.close()
 
     def complete(self, body: dict) -> tuple[str, dict]:
         """Returns (assistant_text, metadata). Raises ProviderError."""

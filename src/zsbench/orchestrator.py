@@ -451,43 +451,48 @@ def _run_llm_variant(
 ) -> PredictorResult:
     result = PredictorResult(name=entry_name, category="llm")
     provider = _build_provider(spec, corpus.schema)
-    audit = AuditLog(run_dir / "audit" / f"{entry_name}.jsonl")
-    texts = [corpus.texts[i] for i in test_ids]
-    if variant == "clean":  # once per entry: every repeat and re-ask sends the same text
-        texts = [clean_for_prompt(text, config.llm_cleaning) for text in texts]
-    items = list(zip(test_ids, texts))
+    try:
+        audit = AuditLog(run_dir / "audit" / f"{entry_name}.jsonl")
+        texts = [corpus.texts[i] for i in test_ids]
+        if variant == "clean":  # once per entry: every repeat and re-ask sends the same text
+            texts = [clean_for_prompt(text, config.llm_cleaning) for text in texts]
+        items = list(zip(test_ids, texts))
 
-    diagnostics_per_run = []
-    for repeat in range(spec.run.repeat_count):
-        outcome = classify_corpus(
-            items,
-            corpus.schema,
-            spec.task,
-            spec.run,
-            provider,
-            audit=audit,
-            audit_meta={"predictor": entry_name, "variant": variant, "repeat": repeat},
-        )
-        result.runs.append(_evaluate_llm_run(outcome, corpus, test_ids))
-        diagnostics_per_run.append(
-            {
-                "n_requests": outcome.n_requests,
-                "n_reasks": outcome.n_reasks,
-                "n_invalid": len(outcome.invalid_ids),
-                **outcome.diagnostics.to_json_dict(),
-            }
-        )
+        diagnostics_per_run = []
+        for repeat in range(spec.run.repeat_count):
+            outcome = classify_corpus(
+                items,
+                corpus.schema,
+                spec.task,
+                spec.run,
+                provider,
+                audit=audit,
+                audit_meta={"predictor": entry_name, "variant": variant, "repeat": repeat},
+            )
+            result.runs.append(_evaluate_llm_run(outcome, corpus, test_ids))
+            diagnostics_per_run.append(
+                {
+                    "n_requests": outcome.n_requests,
+                    "n_reasks": outcome.n_reasks,
+                    "n_invalid": len(outcome.invalid_ids),
+                    **outcome.diagnostics.to_json_dict(),
+                }
+            )
 
-    for metric in _AGGREGATED_METRICS:
-        values = [getattr(r, metric) for r in result.runs]
-        result.aggregates[metric] = aggregate_runs(values, metric=metric)
-    result.diagnostics = {
-        "variant": variant,
-        "audit_log": str(Path("audit") / f"{entry_name}.jsonl"),
-        "per_run": diagnostics_per_run,
-        "evaluated_doc_ids": test_ids,
-    }
-    return result
+        for metric in _AGGREGATED_METRICS:
+            values = [getattr(r, metric) for r in result.runs]
+            result.aggregates[metric] = aggregate_runs(values, metric=metric)
+        result.diagnostics = {
+            "variant": variant,
+            "audit_log": str(Path("audit") / f"{entry_name}.jsonl"),
+            "per_run": diagnostics_per_run,
+            "evaluated_doc_ids": test_ids,
+        }
+        return result
+    finally:
+        # the entry finished, failed or was interrupted: no request is in flight
+        if isinstance(provider, HttpProvider):
+            provider.close()
 
 
 def _llm_entries(spec: LlmSpec) -> list[tuple[str, str]]:

@@ -4,10 +4,12 @@ Within each rule group only the longest matching suffix is tried; if its
 condition fails, the group ends without rewriting. Words of length <= 2
 are returned unchanged.
 
-Each rule group is a suffix table keyed by suffix length, so the longest
-match is found with one slice and one dict lookup per length, longest
-first. The conditions read one consonant/vowel pattern of the word, a "c"
-or "v" per character: `str.translate` classes every character but y, and a
+Each rule group is a suffix table keyed by the last two letters of its
+suffixes, each entry longest suffix first, so a word that ends in none of
+a group's suffixes costs one slice and one dict miss. Steps 1a, 1b, 1c, 5a
+and 5b are entered only when the word's last letter can match. The
+conditions read one consonant/vowel pattern of the word, a "c" or "v" per
+character: `str.translate` classes every character but y, and a
 left-to-right pass settles each y by its predecessor, only when the word
 has one. The measure m of a stem is then its pattern's count of "vc".
 """
@@ -53,28 +55,17 @@ def _ends_cvc(word: str, pattern: str) -> bool:
     return pattern[-3:] == "cvc" and word[-1] not in "wxy"
 
 
-def _by_length(rules) -> tuple[tuple[int, dict[str, str]], ...]:
-    """A rule group as ((n, {suffix: replacement}), ...), suffix length n descending."""
-    table: dict[int, dict[str, str]] = {}
+def _by_last2(rules) -> dict[str, tuple[tuple[str, int, str], ...]]:
+    """A rule group as {last two letters: ((suffix, len(suffix), replacement), ...)},
+    longest suffix first; every suffix has at least two letters."""
+    table: dict[str, list[tuple[str, int, str]]] = {}
     for suffix, repl in rules:
-        table.setdefault(len(suffix), {})[suffix] = repl
-    return tuple(sorted(table.items(), reverse=True))
+        table.setdefault(suffix[-2:], []).append((suffix, len(suffix), repl))
+    return {last2: tuple(sorted(group, key=lambda r: -r[1])) for last2, group in table.items()}
 
-
-def _longest(word: str, table) -> tuple[int, str]:
-    """(k, replacement) for the longest suffix word[k:] in the table; k is -1 if none."""
-    for n, rules in table:
-        suffix = word[-n:]
-        if suffix in rules:
-            return len(word) - n, rules[suffix]
-    return -1, ""
-
-
-_STEP1A = _by_length((("sses", "ss"), ("ies", "i"), ("ss", "ss"), ("s", "")))
-_STEP1B = _by_length((("eed", "ee"), ("ed", ""), ("ing", "")))
 
 # (suffix, replacement) groups for steps 2 and 3; condition is m(stem) > 0.
-_STEP2 = _by_length((
+_STEP2 = _by_last2((
     ("ational", "ate"),
     ("tional", "tion"),
     ("enci", "ence"),
@@ -97,7 +88,7 @@ _STEP2 = _by_length((
     ("biliti", "ble"),
 ))
 
-_STEP3 = _by_length((
+_STEP3 = _by_last2((
     ("icate", "ic"),
     ("ative", ""),
     ("alize", "al"),
@@ -107,24 +98,33 @@ _STEP3 = _by_length((
     ("ness", ""),
 ))
 
-_STEP4 = _by_length((suffix, "") for suffix in (
+_STEP4 = _by_last2((suffix, "") for suffix in (
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
 ))
 
 
 def _step1a(word: str) -> str:
-    k, repl = _longest(word, _STEP1A)
-    return word if k < 0 else word[:k] + repl
+    """-sses -> -ss, -ies -> -i, -ss kept, -s dropped; word ends in s."""
+    if word.endswith(("sses", "ies")):
+        return word[:-2]
+    if word.endswith("ss"):
+        return word
+    return word[:-1]
 
 
 def _step1b(word: str) -> str:
-    k, repl = _longest(word, _STEP1B)
-    if k < 0:
+    """-eed -> -ee when m > 0; -ed and -ing dropped after a stem with a
+    vowel, then tidied; word ends in d or g."""
+    if word.endswith("eed"):
+        return word[:-1] if _measure(word[:-3]) > 0 else word
+    if word.endswith("ed"):
+        k = len(word) - 2
+    elif word.endswith("ing"):
+        k = len(word) - 3
+    else:
         return word
     pattern = _pattern(word[:k])
-    if word[k:] == "eed":
-        return word[:k] + repl if pattern.count("vc") > 0 else word
     if "v" not in pattern:
         return word
     word = word[:k]
@@ -139,44 +139,37 @@ def _step1b(word: str) -> str:
 
 
 def _step1c(word: str) -> str:
-    if word.endswith("y") and "v" in _pattern(word[:-1]):
-        return word[:-1] + "i"
-    return word
+    """-y -> -i after a stem with a vowel; word ends in y."""
+    return word[:-1] + "i" if "v" in _pattern(word[:-1]) else word
 
 
 def _apply_rules(word: str, table) -> str:
-    k, repl = _longest(word, table)
-    if k >= 0 and _measure(word[:k]) > 0:
-        return word[:k] + repl
+    """Steps 2 and 3: the longest suffix in the table is replaced when m > 0."""
+    for suffix, n, repl in table.get(word[-2:], ()):
+        if word.endswith(suffix):
+            stem = word[:-n]
+            return stem + repl if _measure(stem) > 0 else word
     return word
 
 
 def _step4(word: str) -> str:
-    k, _ = _longest(word, _STEP4)
-    if k < 0:
-        return word
-    stem = word[:k]
-    if _measure(stem) <= 1:
-        return word
-    if word[k:] == "ion" and not stem.endswith(("s", "t")):
-        return word
-    return stem
-
-
-def _step5a(word: str) -> str:
-    if word.endswith("e"):
-        stem = word[:-1]
-        pattern = _pattern(stem)
-        m = pattern.count("vc")
-        if m > 1 or (m == 1 and not _ends_cvc(stem, pattern)):
+    """The longest suffix in the table is dropped when m > 1 (-ion only after s or t)."""
+    for suffix, n, _ in _STEP4.get(word[-2:], ()):
+        if word.endswith(suffix):
+            stem = word[:-n]
+            if _measure(stem) <= 1 or (suffix == "ion" and not stem.endswith(("s", "t"))):
+                return word
             return stem
     return word
 
 
-def _step5b(word: str) -> str:
-    # m > 1 and a double l, which is always a double consonant
-    if word.endswith("ll") and _measure(word) > 1:
-        return word[:-1]
+def _step5a(word: str) -> str:
+    """-e dropped when m > 1, or m == 1 and the stem does not end cvc; word ends in e."""
+    stem = word[:-1]
+    pattern = _pattern(stem)
+    m = pattern.count("vc")
+    if m > 1 or (m == 1 and not _ends_cvc(stem, pattern)):
+        return stem
     return word
 
 
@@ -184,12 +177,18 @@ def stem(word: str) -> str:
     """Stem a single lowercase word."""
     if len(word) <= 2:
         return word
-    word = _step1a(word)
-    word = _step1b(word)
-    word = _step1c(word)
+    if word[-1] == "s":
+        word = _step1a(word)
+    if word[-1] in "dg":
+        word = _step1b(word)
+    if word[-1] == "y":
+        word = _step1c(word)
     word = _apply_rules(word, _STEP2)
     word = _apply_rules(word, _STEP3)
     word = _step4(word)
-    word = _step5a(word)
-    word = _step5b(word)
+    if word[-1] == "e":
+        word = _step5a(word)
+    # 5b: m > 1 and a double l, which is always a double consonant
+    if word.endswith("ll") and _measure(word) > 1:
+        word = word[:-1]
     return word

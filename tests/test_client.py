@@ -4,14 +4,16 @@ import base64
 import json
 import os
 import ssl
+import _thread
 import threading
+import time
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from zsbench import __version__
+from zsbench import __version__, orchestrator
 from zsbench.gateway import client
 from zsbench.gateway.classify import classify_corpus
 from zsbench.gateway.client import (
@@ -24,7 +26,7 @@ from zsbench.gateway.client import (
     complete_chat,
 )
 from zsbench.gateway.prompts import build_prompt
-from conftest import ECOMMERCE_TASK, ScriptedProvider
+from conftest import DATA_DIR, ECOMMERCE_TASK, ScriptedProvider, fixture_experiment_config
 
 FAST = dict(backoff_base_s=0.001)
 
@@ -104,7 +106,8 @@ class _LocalEndpoint:
     `seen` with the client's address, so connections can be counted. With
     `close_after_reply` set, the server closes each connection after its
     reply without announcing it, as an endpoint's idle timeout does;
-    `disconnected` is set whenever the server has closed a connection.
+    `disconnected` is set whenever the server has closed a connection, and
+    `closed` counts the connections either side has closed.
     `on_request` runs before each reply, outside the lock. A CONNECT is
     recorded and answered 200, then the connection is closed.
     """
@@ -115,6 +118,7 @@ class _LocalEndpoint:
         self.close_after_reply = False
         self.on_request = lambda: None
         self.disconnected = threading.Event()
+        self.closed = 0
         lock = threading.Lock()
         endpoint = self
 
@@ -164,6 +168,8 @@ class _LocalEndpoint:
 
             def shutdown_request(self, request):
                 super().shutdown_request(request)
+                with lock:
+                    endpoint.closed += 1
                 endpoint.disconnected.set()
 
         self.server = Server(("127.0.0.1", 0), Handler)
@@ -292,6 +298,23 @@ class TestHttpProvider:
         assert (conn.host, conn.port) == ("api.example.com", 443)
         assert conn._context.check_hostname is True
         assert conn._context.verify_mode == ssl.CERT_REQUIRED
+
+    def test_tls_context_built_on_first_connection_not_while_validating(
+        self, no_proxy_env, monkeypatch, tmp_path
+    ):
+        calls = []
+        create = ssl.create_default_context
+        monkeypatch.setattr(
+            ssl, "create_default_context", lambda *a, **kw: calls.append(1) or create(*a, **kw)
+        )
+        endpoint = "https://api.example.com/v1/chat/completions"
+        entry = {"name": "gpt", "type": "llm", "model": "m",
+                 "provider": {"type": "http", "endpoint": endpoint}}
+        orchestrator.validate_config(fixture_experiment_config(DATA_DIR / "fixture_corpus.csv", tmp_path, [entry]))
+        assert calls == []  # loading the CA store is left to the first connection
+        client._tls_context.cache_clear()
+        first, second = HttpProvider(endpoint)._checkout(), HttpProvider(endpoint)._checkout()
+        assert len(calls) == 1 and first._context is second._context
 
 
 class TestProxy:
@@ -447,6 +470,7 @@ class TestSessions:
             classify_corpus(docs, ecommerce_schema, ECOMMERCE_TASK, config, provider)
         assert endpoint.requests >= 20
         assert 1 <= endpoint.connections <= 2
+        provider.close()
 
     def test_connection_closed_while_idle_is_reopened(self, local_endpoint):
         endpoint = local_endpoint()
@@ -458,3 +482,37 @@ class TestSessions:
             assert endpoint.disconnected.wait(10)
             endpoint.disconnected.clear()
         assert endpoint.requests == 3 and endpoint.connections == 3
+
+
+class TestProviderLifecycle:
+    @pytest.mark.parametrize("outcome", ["finished", "failed", "interrupted"])
+    def test_entry_closes_its_pooled_connections(
+        self, local_endpoint, monkeypatch, tmp_path, outcome
+    ):
+        endpoint = local_endpoint([(401, None)] if outcome == "failed" else ())
+        if outcome == "interrupted":
+            endpoint.on_request = lambda: endpoint.requests == 3 and _thread.interrupt_main()
+        entry = {
+            "name": "http-llm", "type": "llm", "model": "m", "repeat_count": 2,
+            "batch_size": 4, "concurrency": 2, "backoff_base_s": 0.001,
+            "provider": {"type": "http", "endpoint": endpoint.url, "api_key_env": "TEST_API_KEY"},
+        }
+        config = orchestrator.validate_config(fixture_experiment_config(
+            DATA_DIR / "fixture_corpus.csv", tmp_path, [entry], split={"test_size": 20, "seed": 0}
+        ))
+        built = []  # holds each provider, as a traceback's frames could
+        build = orchestrator._build_provider
+        monkeypatch.setattr(
+            orchestrator, "_build_provider", lambda *args: built.append(build(*args)) or built[-1]
+        )
+        if outcome == "interrupted":
+            with pytest.raises(KeyboardInterrupt):
+                orchestrator.run_experiment(config, run_id="r")
+        else:
+            result = orchestrator.run_experiment(config, run_id="r")
+            assert result.predictors["http-llm"].status == {"finished": "ok"}.get(outcome, "error")
+        assert len(built) == 1 and endpoint.connections >= 1
+        deadline = time.monotonic() + 10
+        while endpoint.closed < endpoint.connections and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert endpoint.closed == endpoint.connections

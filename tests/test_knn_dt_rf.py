@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+import knn_oracle
 from zsbench.baselines.common import TrainingError
 from zsbench.baselines.knn import train_knn
 from zsbench.baselines.logreg import train_logreg
@@ -60,6 +61,28 @@ def random_dataset(rng, n, dim, labels):
     return features, y
 
 
+@st.composite
+def knn_cases(draw):
+    """(train rows, labels, k, query rows) rich in similarity ties: few
+    distinct small-integer rows, so duplicate rows; zero rows on both sides,
+    so all-tied query blocks; and k often the largest odd k <= n_train."""
+    dim = draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, 2), min_size=dim, max_size=dim)
+    distinct = draw(st.lists(row, min_size=1, max_size=5))
+    n_train = draw(st.integers(1, 30))
+    train = draw(st.lists(st.sampled_from(distinct), min_size=n_train, max_size=n_train))
+    labels = draw(
+        st.lists(st.sampled_from(SCHEMA3.labels), min_size=n_train, max_size=n_train)
+    )
+    largest = n_train if n_train % 2 else n_train - 1
+    k = draw(
+        st.sampled_from([largest, max(1, largest - 2)]) | st.sampled_from(range(1, largest + 1, 2))
+    )
+    query = st.sampled_from([*distinct, [0] * dim]) | row
+    queries = draw(st.lists(query, min_size=1, max_size=140))
+    return train, labels, k, queries
+
+
 class TestKnn:
     def test_k1_returns_own_label(self):
         features = csr([[1, 0], [0, 1]])
@@ -105,6 +128,21 @@ class TestKnn:
             for j in sorted(range(len(train)), key=lambda j: (-sims[j], j))[:5]:
                 expected[i, y[j]] += 1 / 5
         assert model.predict_proba(csr(queries)) == pytest.approx(expected, abs=1e-12)
+
+    def test_query_whose_norm_underflows_is_a_zero_vector(self):
+        model = train_knn(csr([[1, 0], [0, 1], [0, 2]]), ["a", "b", "b"], SCHEMA, k=1)
+        queries = csr([[0, 1e-200], [0, 1]])
+        assert predicted_labels(model, queries) == ["a", "b"]
+        expected = knn_oracle.predict_proba(model, queries)
+        assert model.predict_proba(queries).tobytes() == expected.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=knn_cases())
+    def test_top_k_selection_matches_full_sort_oracle(self, case):
+        train, labels, k, queries = case
+        model = train_knn(csr(train), labels, SCHEMA3, k=k)
+        got = model.predict_proba(csr(queries))
+        assert got.tobytes() == knn_oracle.predict_proba(model, csr(queries)).tobytes()
 
 
 class TestDecisionTree:

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import itertools
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import clean_oracle
 from zsbench.preprocess import (
     STOPWORDS,
     CleaningPolicy,
@@ -127,6 +130,42 @@ class TestPreprocessCorpus:
         policy = CleaningPolicy.tweet_cleaning()
         out = clean_for_prompt("Check THIS out! https://t.co/x #wow", policy)
         assert out == "check out!"
+
+
+# every CleaningPolicy: all 2**8 flag combinations
+EVERY_POLICY = [
+    CleaningPolicy(**dict(zip(CleaningPolicy.__dataclass_fields__, flags)))
+    for flags in itertools.product((False, True), repeat=len(CleaningPolicy.__dataclass_fields__))
+]
+
+# what each guard and the single split rest on: the rules' trigger
+# substrings in both cases, the separators \x1c-\x1f and Unicode spaces that
+# regex \s and str.split must treat alike, and characters whose case
+# mapping is irregular (long s, dotted capital I, Kelvin sign, sigma)
+_oracle_fragments = st.one_of(
+    st.text(
+        alphabet="abcHTPSWeiksy xX09<>@#/.:_-'!\t\n\x1c\x1d\x1e\x1f\u00a0\u2028\u3000"
+        "\u017f\u0130\u212a\u03a3",
+        max_size=8,
+    ),
+    st.sampled_from(
+        ["http", "HTTP", "hTtPs://", "https://", "www.", "WWW.", "t.co/", "T.CO/",
+         "\u017ft.co/", "http\u017f://", "<", ">", "<b>", "@", "#", "7", "\u0660"]
+    ),
+)
+oracle_text = st.lists(_oracle_fragments, max_size=10).map("".join)
+
+
+class TestAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(texts=st.lists(oracle_text, min_size=1, max_size=3))
+    @example(texts=["HTTPS://x.co <<b>> @me #tag 42 ab\x1ccd\u3000Kelvin\u212a \u0130stanbul"])
+    @example(texts=["httpſ://x y", "0T.co/abc", "ΑΣ ΑΣ\u2028Σ"])
+    def test_matches_the_unguarded_oracle_under_every_policy(self, texts):
+        for policy in EVERY_POLICY:
+            for text in texts:
+                assert clean_text(text, policy) == clean_oracle.clean_text(text, policy)
+            assert preprocess_corpus(texts, policy) == clean_oracle.preprocess_corpus(texts, policy)
 
 
 class TestPolicySerialization:
