@@ -1,9 +1,9 @@
 """Scale bench: the paper's roster on perfbench's spam-like corpus at paper scale.
 
-    python3 bench/scale.py [--sizes 5000,20000] [--runs 3] [--seed 101]
+    python3 bench/scale.py [--sizes 5000,20000] [--runs 3]
 
 Run from anywhere inside a zsbench checkout. For each size N the bench
-generates perfbench's ``SPAM`` corpus with ``n_docs = N`` and
+generates perfbench's ``SPAM`` corpus at seed 101 with ``n_docs = N`` and
 ``n_stems = max(3000, 3N)``, holds out 30% of it as the test split, and runs
 the paper-roster predictors (MNB, LG with 200 epochs, RF with 100 trees, DT,
 KNN with k = 5 and the mock keyword LLM with 5 repeats) ``--runs`` times.
@@ -15,9 +15,9 @@ The result goes to ``bench/BENCH_scale_<git describe --always --dirty>.json``:
 the sha; the Python, numpy and scipy versions and the CPU count; and per
 size the median over the runs of each traced layer, of the feature pass
 (``preprocess.s + features.fit_s + features.transform_s``), of ``run_s`` and
-of peak RSS, plus each run's report sha256. The bench exits 1 when a run
-fails (a crash, or a predictor whose status is not ``ok``) or when the runs
-of one size disagree on their reports.
+of peak RSS, plus the report sha256 the runs share. The bench exits 1 when
+a run fails (a crash, or a predictor whose status is not ``ok``) or when the
+runs of one size disagree on their reports.
 
 perfbench's files are imported, never changed: ``corpus.py`` generates the
 inputs and ``run.py`` supplies the spec, the roster and the sample runner.
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import os
 import platform
@@ -45,6 +44,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import corpus as gen  # noqa: E402 - perfbench's generator, found through the path above
 import run as perfbench  # noqa: E402
 
+SEED = 101
 TEST_SHARE = 0.3
 FEATURE_LAYERS = ("preprocess.s", "features.fit_s", "features.transform_s")
 
@@ -60,42 +60,34 @@ def git_describe() -> str:
     return out.stdout.strip()
 
 
-def report_sha256(run_dir: Path) -> str:
-    """sha256 over report.json and reports/*.json, as perfbench hashes them."""
-    digest = hashlib.sha256()
-    for rel, data in sorted(perfbench.report_bytes(run_dir).items()):
-        digest.update(rel.encode() + b"\0" + data)
-    return digest.hexdigest()
-
-
-def run_size(n_docs: int, seed: int, runs: int, work: Path, env: dict) -> tuple[dict, list[str]]:
+def run_size(n_docs: int, runs: int, work: Path, env: dict) -> tuple[dict, list[str]]:
     """(figures for one corpus size, problems found)."""
     spec = dataclasses.replace(perfbench.SPAM, n_docs=n_docs, n_stems=max(3000, 3 * n_docs))
     roster = perfbench.WORKLOADS["paper-roster"].predictors
     wl = perfbench.Workload(spec=spec, test_size=round(TEST_SHARE * n_docs), predictors=roster)
     size_dir = work / f"n{n_docs}"
     size_dir.mkdir()
-    config = perfbench.write_inputs(f"scale-{n_docs}", wl, gen.generate(spec, seed), size_dir, None)
+    config = perfbench.write_inputs(f"scale-{n_docs}", wl, gen.generate(spec, SEED), size_dir, None)
 
-    outs, problems = [], []
+    samples, good = [], []
     for i in range(runs):
         no_deadline = time.monotonic() + 24 * 3600
         sample = perfbench.run_sample(i, True, config, size_dir, env, None, no_deadline)
-        if sample.out is not None:
-            perfbench.check_status(sample)
-        problems += [f"n={n_docs} run {i}: {note}" for note in sample.notes]
-        if sample.out is None or sample.failed:
+        samples.append(sample)
+        if sample.out is None:
             continue
-        sample.out["report_sha256"] = report_sha256(Path(sample.out["run_dir"]))
+        perfbench.check_status(sample)
+        if sample.failed:
+            continue
         layers = sample.out["layers"]
         parts = [layers[k] for k in FEATURE_LAYERS]
         layers["feature_pass_s"] = None if None in parts else sum(parts)
-        outs.append(sample.out)
+        good.append(sample)
         print(f"n={n_docs} run {i}: run_s {sample.out['run_s']:.2f} s, "
               f"peak {sample.out['peak_rss_mb']:.1f} MiB", flush=True)
-    hashes = [o["report_sha256"] for o in outs]
-    if len(set(hashes)) > 1:
-        problems.append(f"n={n_docs}: the runs' reports differ")
+    sha = perfbench.check_identical(good, [p["name"] for p in roster]) if good else None
+    problems = [f"n={n_docs} run {i}: {note}" for i, s in enumerate(samples) for note in s.notes]
+    outs = [s.out for s in good]
 
     def median(values):
         values = [v for v in values if v is not None]
@@ -110,7 +102,7 @@ def run_size(n_docs: int, seed: int, runs: int, work: Path, env: dict) -> tuple[
         "run_s": median([o["run_s"] for o in outs]),
         "peak_rss_mb": median([o["peak_rss_mb"] for o in outs]),
         "layers": layers,
-        "report_sha256": hashes,
+        "report_sha256": sha,
     }
     return figures, problems
 
@@ -120,7 +112,6 @@ def main() -> int:
     parser.add_argument("--sizes", default="5000,20000",
                         help="comma-separated corpus sizes (default 5000,20000)")
     parser.add_argument("--runs", type=int, default=3, help="runs per size (default 3)")
-    parser.add_argument("--seed", type=int, default=101, help="corpus seed (default 101)")
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
     if args.runs < 1 or any(n < 10 for n in sizes):
@@ -136,7 +127,7 @@ def main() -> int:
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
         "cpu_count": os.cpu_count(),
-        "seed": args.seed,
+        "seed": SEED,
         "runs": args.runs,
         "sizes": {},
     }
@@ -147,7 +138,7 @@ def main() -> int:
     problems = []
     try:
         for n_docs in sizes:
-            figures, found = run_size(n_docs, args.seed, args.runs, work, env)
+            figures, found = run_size(n_docs, args.runs, work, env)
             result["sizes"][str(n_docs)] = figures
             problems += found
     finally:

@@ -451,14 +451,14 @@ def _run_llm_variant(
 ) -> PredictorResult:
     result = PredictorResult(name=entry_name, category="llm")
     provider = _build_provider(spec, corpus.schema)
-    try:
-        audit = AuditLog(run_dir / "audit" / f"{entry_name}.jsonl")
-        texts = [corpus.texts[i] for i in test_ids]
-        if variant == "clean":  # once per entry: every repeat and re-ask sends the same text
-            texts = [clean_for_prompt(text, config.llm_cleaning) for text in texts]
-        items = list(zip(test_ids, texts))
+    audit = AuditLog(run_dir / "audit" / f"{entry_name}.jsonl")
+    texts = [corpus.texts[i] for i in test_ids]
+    if variant == "clean":  # once per entry: every repeat and re-ask sends the same text
+        texts = [clean_for_prompt(text, config.llm_cleaning) for text in texts]
+    items = list(zip(test_ids, texts))
 
-        diagnostics_per_run = []
+    diagnostics_per_run = []
+    try:
         for repeat in range(spec.run.repeat_count):
             outcome = classify_corpus(
                 items,
@@ -478,21 +478,21 @@ def _run_llm_variant(
                     **outcome.diagnostics.to_json_dict(),
                 }
             )
-
-        for metric in _AGGREGATED_METRICS:
-            values = [getattr(r, metric) for r in result.runs]
-            result.aggregates[metric] = aggregate_runs(values, metric=metric)
-        result.diagnostics = {
-            "variant": variant,
-            "audit_log": str(Path("audit") / f"{entry_name}.jsonl"),
-            "per_run": diagnostics_per_run,
-            "evaluated_doc_ids": test_ids,
-        }
-        return result
     finally:
-        # the entry finished, failed or was interrupted: no request is in flight
+        # the repeats finished, failed or were interrupted: no request is in flight
         if isinstance(provider, HttpProvider):
             provider.close()
+
+    for metric in _AGGREGATED_METRICS:
+        values = [getattr(r, metric) for r in result.runs]
+        result.aggregates[metric] = aggregate_runs(values, metric=metric)
+    result.diagnostics = {
+        "variant": variant,
+        "audit_log": str(Path("audit") / f"{entry_name}.jsonl"),
+        "per_run": diagnostics_per_run,
+        "evaluated_doc_ids": test_ids,
+    }
+    return result
 
 
 def _llm_entries(spec: LlmSpec) -> list[tuple[str, str]]:
