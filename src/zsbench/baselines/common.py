@@ -22,15 +22,6 @@ def normalize_rows(scores: np.ndarray) -> np.ndarray:
     return np.where(valid, scores / np.where(valid, totals, 1.0), 1.0 / scores.shape[1])
 
 
-def encode_labels(labels: list[str], schema: LabelSchema) -> np.ndarray:
-    """Map label names to schema indices."""
-    index = {label: i for i, label in enumerate(schema.labels)}
-    try:
-        return np.array([index[lab] for lab in labels], dtype=np.intp)
-    except KeyError as exc:
-        raise TrainingError(f"label {exc.args[0]!r} not in schema") from exc
-
-
 def check_training_input(
     x: sparse.csr_matrix,
     labels: list[str],
@@ -46,7 +37,10 @@ def check_training_input(
         raise TrainingError("empty training set")
     if x.shape[0] != len(labels):
         raise TrainingError(f"{x.shape[0]} feature rows but {len(labels)} labels")
-    y = encode_labels(labels, schema)
+    try:
+        y = np.array(schema.codes(labels), dtype=np.intp)
+    except KeyError as exc:
+        raise TrainingError(f"label {exc.args[0]!r} not in schema") from exc
     if require_all_classes:
         present = set(y.tolist())
         missing = [lab for i, lab in enumerate(schema.labels) if i not in present]

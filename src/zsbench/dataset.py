@@ -47,8 +47,10 @@ class LabelSchema:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def index_of(self, label: str) -> int:
-        return self.labels.index(label)
+    def codes(self, labels) -> list[int]:
+        """The class code (schema position) of each label; KeyError for one outside the schema."""
+        index = {label: i for i, label in enumerate(self.labels)}
+        return [index[label] for label in labels]
 
     def canonicalize(self, raw: str) -> str | None:
         """Map a raw label string onto the schema by trim + case-fold.
@@ -167,7 +169,7 @@ def _test_quotas(corpus: LabeledCorpus, test_size: int) -> dict[str, int]:
     leftover = test_size - sum(quotas.values())
     by_remainder = sorted(
         corpus.schema.labels,
-        key=lambda c: (-(shares[c] - quotas[c]), corpus.schema.index_of(c)),
+        key=lambda c: (-(shares[c] - quotas[c]), corpus.schema.labels.index(c)),
     )
     for c in by_remainder[:leftover]:
         quotas[c] += 1

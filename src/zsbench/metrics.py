@@ -45,22 +45,20 @@ class ConfusionMatrix:
         return int(self.as_array().sum())
 
 
-def confusion_matrix(
-    truth: list[str], pred: list[str], schema: LabelSchema
-) -> ConfusionMatrix:
-    """Count (true, predicted) label pairs. All labels must be in-schema;
-    the caller maps invalid predictions beforehand."""
-    if len(truth) != len(pred):
-        raise MetricsError(f"length mismatch: {len(truth)} truths vs {len(pred)} predictions")
-    index = {label: i for i, label in enumerate(schema.labels)}
-    counts = np.zeros((len(schema), len(schema)), dtype=np.int64)
-    for t, p in zip(truth, pred):
-        if t not in index:
-            raise MetricsError(f"unknown true label {t!r}")
-        if p not in index:
-            raise MetricsError(f"unknown predicted label {p!r}")
-        counts[index[t], index[p]] += 1
-    return ConfusionMatrix(schema=schema, counts=tuple(map(tuple, counts.tolist())))
+def confusion_matrix(y_true, y_pred, schema: LabelSchema) -> ConfusionMatrix:
+    """Count (true, predicted) pairs of class codes, the schema positions of
+    the labels. The caller maps invalid predictions to a code beforehand."""
+    if len(y_true) != len(y_pred):
+        raise MetricsError(f"length mismatch: {len(y_true)} truths vs {len(y_pred)} predictions")
+    k = len(schema)
+    # plain Python, not numpy masks: the first call of a numpy kernel adds
+    # resident memory that a label-only (LLM) run would otherwise not pay
+    counts = [[0] * k for _ in range(k)]
+    for t, p in zip(y_true, y_pred):
+        if not (0 <= t < k and 0 <= p < k):
+            raise MetricsError(f"class code outside the schema: true {t}, predicted {p}")
+        counts[t][p] += 1
+    return ConfusionMatrix(schema=schema, counts=counts)
 
 
 def accuracy(cm: ConfusionMatrix) -> float:
@@ -131,42 +129,26 @@ def binary_auc(scores: np.ndarray, positive: np.ndarray) -> float:
     return u / (n_pos * n_neg)
 
 
-def auc_ovr_details(
-    truth: list[str], scores: np.ndarray, schema: LabelSchema
-) -> tuple[dict[str, float], list[str]]:
-    """Per-class one-vs-rest AUCs plus the list of skipped classes.
+def auc_ovr_macro(y_true, scores: np.ndarray) -> float:
+    """Macro average of per-class one-vs-rest AUCs.
 
-    `scores` has one row per document and one column per schema label. A
-    class is skipped when the evaluation set has no positive or no
-    negative example for it.
+    `scores` has one row per document and one column per class code. A class
+    is skipped when the evaluation set has no positive or no negative example
+    for it; at least one class must remain.
     """
-    if len(truth) != len(scores):
-        raise MetricsError(f"length mismatch: {len(truth)} truths vs {len(scores)} scores")
-    if scores.ndim != 2 or scores.shape[1] != len(schema):
-        raise MetricsError("score vector length does not match schema")
-    index = {label: i for i, label in enumerate(schema.labels)}
-    try:
-        y = np.array([index[t] for t in truth])
-    except KeyError as exc:
-        raise MetricsError(f"unknown true label {exc.args[0]!r}") from exc
-
-    per_class: dict[str, float] = {}
-    skipped: list[str] = []
-    for label, i in index.items():
+    if len(y_true) != len(scores):
+        raise MetricsError(f"length mismatch: {len(y_true)} truths vs {len(scores)} scores")
+    y = np.asarray(y_true)
+    per_class, skipped = [], []
+    for i in range(scores.shape[1]):
         positive = y == i
         if positive.all() or not positive.any():
-            skipped.append(label)
+            skipped.append(i)
             continue
-        per_class[label] = binary_auc(scores[:, i], positive)
-    return per_class, skipped
-
-
-def auc_ovr_macro(truth: list[str], scores: np.ndarray, schema: LabelSchema) -> float:
-    """Macro average of per-class one-vs-rest AUCs."""
-    per_class, skipped = auc_ovr_details(truth, scores, schema)
+        per_class.append(binary_auc(scores[:, i], positive))
     if not per_class:
         raise MetricsError(f"all classes skipped for AUC: {skipped}")
-    return float(np.mean(list(per_class.values())))
+    return float(np.mean(per_class))
 
 
 @dataclass(frozen=True)
@@ -200,21 +182,23 @@ class EvalReport:
 
 
 def build_report(
-    truth: list[str],
-    pred: list[str],
+    y_true,
+    y_pred,
     schema: LabelSchema,
     scores: np.ndarray | None = None,
     n_invalid: int = 0,
 ) -> EvalReport:
-    """Assemble the full report; AUC is present only when scores are given.
+    """Assemble the full report from class codes; AUC only when scores are given.
 
     `scores` is a predictor's (n, K) probability array. Label-only
     predictors pass scores=None and get auc=None.
     """
-    cm = confusion_matrix(truth, pred, schema)
+    cm = confusion_matrix(y_true, y_pred, schema)
     auc = None
     if scores is not None:
-        auc = auc_ovr_macro(truth, scores, schema)
+        if scores.ndim != 2 or scores.shape[1] != len(schema):
+            raise MetricsError("score vector length does not match schema")
+        auc = auc_ovr_macro(y_true, scores)
     return EvalReport(
         acc=accuracy(cm),
         macro_f1=macro_f1(cm),

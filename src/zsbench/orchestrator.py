@@ -375,30 +375,16 @@ def _build_provider(spec: LlmSpec, schema: LabelSchema):
     raise ValueError(f"unknown provider type {spec.provider['type']!r}")
 
 
-def _wrong_label(gold: str, schema: LabelSchema) -> str:
-    """Deterministic in-schema label that is guaranteed not to equal gold.
-
-    Used to score invalid (unresolved) LLM answers as incorrect without
-    guessing a real prediction."""
-    for label in schema.labels:
-        if label != gold:
-            return label
-    raise AssertionError("schema has fewer than 2 labels")
-
-
-def _evaluate_llm_run(outcome, corpus: LabeledCorpus, test_ids: list[int]) -> EvalReport:
-    truth = []
-    pred = []
-    n_invalid = 0
-    for i in test_ids:
-        gold = corpus.labels[i]
-        truth.append(gold)
-        label = outcome.resolved.get(i)
-        if label is None:
-            n_invalid += 1
-            label = _wrong_label(gold, corpus.schema)
-        pred.append(label)
-    return build_report(truth, pred, corpus.schema, scores=None, n_invalid=n_invalid)
+def _evaluate_llm_run(outcome, schema: LabelSchema, test_ids: list[int], y_test: list[int]):
+    """The run's report. An unresolved answer is scored as wrong: it gets the
+    code of the first schema label that is not gold."""
+    answers = [outcome.resolved.get(i) for i in test_ids]
+    resolved = iter(schema.codes(label for label in answers if label is not None))
+    y_pred = [
+        int(gold == 0) if label is None else next(resolved)
+        for label, gold in zip(answers, y_test)
+    ]
+    return build_report(y_test, y_pred, schema, n_invalid=answers.count(None))
 
 
 def _build_features(
@@ -424,18 +410,15 @@ def _build_features(
 
 def _run_baseline(
     spec: BaselineSpec, corpus: LabeledCorpus, train_ids: list[int], test_ids: list[int],
-    x_train, x_test, diagnostics,
+    y_test: list[int], x_train, x_test, diagnostics,
 ) -> PredictorResult:
-    schema = corpus.schema
     labels = [corpus.labels[i] for i in train_ids]
-    model = train_baseline(spec.kind, x_train, labels, schema, **spec.hyper)
+    model = train_baseline(spec.kind, x_train, labels, corpus.schema, **spec.hyper)
     proba = model.predict_proba(x_test)
-    truth = [corpus.labels[i] for i in test_ids]
-    pred = [schema.labels[i] for i in proba.argmax(axis=1)]
     return PredictorResult(
         name=spec.name,
         category="baseline",
-        report=build_report(truth, pred, schema, scores=proba),
+        report=build_report(y_test, proba.argmax(axis=1), corpus.schema, scores=proba),
         diagnostics={**diagnostics, "evaluated_doc_ids": test_ids},
     )
 
@@ -445,6 +428,7 @@ def _run_llm_variant(
     variant: str,
     corpus: LabeledCorpus,
     test_ids: list[int],
+    y_test: list[int],
     config: ExperimentConfig,
     run_dir: Path,
     entry_name: str,
@@ -469,7 +453,7 @@ def _run_llm_variant(
                 audit=audit,
                 audit_meta={"predictor": entry_name, "variant": variant, "repeat": repeat},
             )
-            result.runs.append(_evaluate_llm_run(outcome, corpus, test_ids))
+            result.runs.append(_evaluate_llm_run(outcome, corpus.schema, test_ids, y_test))
             diagnostics_per_run.append(
                 {
                     "n_requests": outcome.n_requests,
@@ -523,6 +507,7 @@ def run_experiment(config: ExperimentConfig, run_id: str | None = None) -> Exper
         config.dataset.schema,
     )
     train_ids, test_ids = stratified_split(corpus, config.test_size, config.split_seed)
+    y_test = corpus.schema.codes(corpus.labels[i] for i in test_ids)
 
     run_dir.mkdir(parents=True)
 
@@ -548,10 +533,10 @@ def run_experiment(config: ExperimentConfig, run_id: str | None = None) -> Exper
                 if isinstance(spec, BaselineSpec):
                     if isinstance(features, Exception):
                         raise features
-                    res = _run_baseline(spec, corpus, train_ids, test_ids, *features)
+                    res = _run_baseline(spec, corpus, train_ids, test_ids, y_test, *features)
                 else:
                     res = _run_llm_variant(
-                        spec, variant, corpus, test_ids, config, run_dir, entry_name
+                        spec, variant, corpus, test_ids, y_test, config, run_dir, entry_name
                     )
             except Exception as exc:  # noqa: BLE001 - crash isolation per predictor
                 res = PredictorResult(

@@ -51,6 +51,18 @@ class TestSchema:
         assert schema.canonicalize("NEUTRAL") == "neutral"
         assert schema.canonicalize("bogus") is None
 
+    def test_codes_are_schema_positions(self):
+        schema = LabelSchema("t", ["positive", "neutral", "negative"])
+        assert schema.codes(["negative", "positive", "neutral", "positive"]) == [2, 0, 1, 0]
+        assert schema.codes(label for label in ("neutral",)) == [1]
+        assert schema.codes([]) == []
+
+    @pytest.mark.parametrize("label", ["bogus", "Positive", " positive"])
+    def test_codes_reject_a_label_outside_the_schema(self, label):
+        schema = LabelSchema("t", ["positive", "neutral", "negative"])
+        with pytest.raises(KeyError):
+            schema.codes(["neutral", label])
+
 
 class TestLoadCorpus:
     def test_csv_two_docs(self, tmp_path, spam_schema):

@@ -410,6 +410,33 @@ class TestRunExperiment:
             assert url_ids <= set(outcome.invalid_ids)
         assert prompted and not prompted & url_ids
 
+    def test_unresolved_answer_scored_as_first_label_not_gold(self, tmp_path):
+        # two documents of every class are cleaned to nothing, so they are never
+        # prompted and stay unresolved; the rest hit their own class's keyword
+        labels = ["alpha", "beta", "gamma"]
+        rows = ["text,category"]
+        for label in labels:
+            rows += [f"a note about {label}fruit number {i},{label}" for i in range(4)]
+            rows += [f"https://t.co/{label}{i},{label}" for i in range(2)]
+        corpus_path = tmp_path / "corpus.csv"
+        corpus_path.write_text("\n".join(rows) + "\n", "utf-8")
+        predictor = mock_llm_predictor(
+            text_variant="clean",
+            repeat_count=1,
+            provider={"type": "mock", "rules": {lab: [f"{lab}fruit"] for lab in labels}},
+        )
+        raw = fixture_experiment_config(
+            corpus_path, tmp_path / "runs", [predictor],
+            dataset={"path": str(corpus_path), "format": "csv", "text_field": "text",
+                     "label_field": "category", "schema": {"task_name": "t", "labels": labels}},
+            split={"test_size": 18, "seed": 0},
+        )
+        result = run_experiment(validate_config(raw), run_id="unresolved")
+        [report] = result.predictors["mock-llm"].runs
+        # a gold-alpha document lands in column 1 (beta), any other in column 0
+        assert report.confusion.counts == ((4, 2, 0), (2, 4, 0), (2, 0, 4))
+        assert report.n_invalid_predictions == 6
+
     def test_llm_only_roster_builds_no_features(self, fixture_corpus_path, tmp_path, monkeypatch):
         preprocessed = self._count_calls(monkeypatch, "preprocess_corpus")
         fits = self._count_calls(monkeypatch, "fit_vectorizer")

@@ -21,7 +21,6 @@ from scipy import sparse
 
 from dense_cart import dense_forest, dense_predict_proba
 from zsbench.baselines import tree
-from zsbench.baselines.common import encode_labels
 from zsbench.baselines.tree import train_dt, train_rf
 from zsbench.dataset import LabelSchema, load_corpus, stratified_split
 from zsbench.features import fit_vectorizer
@@ -123,7 +122,7 @@ def fixture_features():
 
 def test_fixture_corpus_trees_match_dense_reference(fixture_features):
     x, x_test, labels, schema = fixture_features
-    xd, y = x.toarray(), encode_labels(labels, schema)
+    xd, y = x.toarray(), np.array(schema.codes(labels), dtype=np.intp)
     dt = train_dt(x, labels, schema, max_depth=16)
     rf = train_rf(x, labels, schema, n_trees=50, max_depth=16, seed=7)
     for model, reference in [
