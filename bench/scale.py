@@ -17,7 +17,10 @@ size the median over the runs of each traced layer, of the feature pass
 (``preprocess.s + features.fit_s + features.transform_s``), of ``run_s`` and
 of peak RSS, plus the report sha256 the runs share. The bench exits 1 when
 a run fails (a crash, or a predictor whose status is not ``ok``) or when the
-runs of one size disagree on their reports.
+runs of one size disagree on their reports. It warns, without failing, when
+a size's report sha256 differs from the one in the newest committed
+``BENCH_scale_*.json`` that has that size: the reports changed, or numpy or
+scipy rounds differently here.
 
 perfbench's files are imported, never changed: ``corpus.py`` generates the
 inputs and ``run.py`` supplies the spec, the roster and the sample runner.
@@ -49,15 +52,24 @@ TEST_SHARE = 0.3
 FEATURE_LAYERS = ("preprocess.s", "features.fit_s", "features.transform_s")
 
 
-def git_describe() -> str:
+def git(*args: str) -> str | None:
     try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"], cwd=ROOT, capture_output=True,
-            text=True, check=True,
-        )
+        out = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True)
     except (OSError, subprocess.CalledProcessError):
-        return "unknown"
+        return None
     return out.stdout.strip()
+
+
+def committed_shas() -> dict[str, tuple[str, str]]:
+    """Size -> (file, report sha256), from the newest committed bench file
+    (by the time of the commit that added it) that records the size."""
+    files = (git("ls-files", "bench/BENCH_scale_*.json") or "").split()
+    added = {f: int(git("log", "--diff-filter=A", "--format=%ct", "-1", "--", f) or 0) for f in files}
+    shas = {}
+    for f in sorted(files, key=lambda f: (added[f], f)):
+        for size, figures in json.loads((ROOT / f).read_text("utf-8"))["sizes"].items():
+            shas[size] = (f, figures["report_sha256"])
+    return shas
 
 
 def run_size(n_docs: int, runs: int, work: Path, env: dict) -> tuple[dict, list[str]]:
@@ -120,7 +132,7 @@ def main() -> int:
     import numpy
     import scipy
 
-    sha = git_describe()
+    sha = git("describe", "--always", "--dirty") or "unknown"
     result = {
         "sha": sha,
         "python": platform.python_version(),
@@ -143,6 +155,12 @@ def main() -> int:
             problems += found
     finally:
         shutil.rmtree(work, ignore_errors=True)
+
+    recorded = committed_shas()
+    for size, figures in result["sizes"].items():
+        if size in recorded and figures["report_sha256"] != recorded[size][1]:
+            print(f"scale: warning: n={size} report sha256 {figures['report_sha256']} differs "
+                  f"from {recorded[size][1]} in {recorded[size][0]}", file=sys.stderr)
 
     out = ROOT / "bench" / f"BENCH_scale_{sha}.json"
     out.write_text(json.dumps(result, indent=2) + "\n", "utf-8")
