@@ -45,9 +45,10 @@ def _trainer(kind: str):
     return getattr(importlib.import_module(f"{__name__}.{module}"), trainer)
 
 
-def hyperparameter_names(kind: str) -> frozenset[str]:
-    """The keyword parameters of a trainer, after (x, labels, schema)."""
-    return frozenset(list(inspect.signature(_trainer(kind)).parameters)[3:])
+def hyperparameter_defaults(kind: str) -> dict:
+    """The keyword parameters of a trainer, after (x, labels, schema), and their defaults."""
+    params = list(inspect.signature(_trainer(kind)).parameters.values())[3:]
+    return {p.name: p.default for p in params}
 
 
 def train_baseline(name: str, x, labels: list[str], schema: LabelSchema, **hyper):

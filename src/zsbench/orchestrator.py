@@ -21,7 +21,9 @@ from datetime import datetime
 from pathlib import Path
 
 from . import __version__
-from .baselines import DISPLAY_NAMES, canonical_baseline_name, hyperparameter_names, train_baseline
+from .baselines import (
+    DISPLAY_NAMES, canonical_baseline_name, hyperparameter_defaults, train_baseline,
+)
 from .dataset import LabeledCorpus, LabelSchema, load_corpus, stratified_split
 from .features import fit_vectorizer
 from .gateway import (
@@ -122,14 +124,15 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-_JSON_TYPE_NAMES = {str: "a string", int: "an integer", bool: "true or false"}
+_JSON_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false"}
 
 
 def _typed(mapping: dict, where: str, default):
     """The value under the last part of the dotted location `where`, or
-    `default`, once it has the default's JSON type (`true` is no integer)."""
+    `default`, once it has the default's JSON type: an integer is also a
+    number, and `true` is neither."""
     value = mapping.get(where.rsplit(".", 1)[-1], default)
-    if type(value) is not type(default):
+    if type(value) is not type(default) and (type(default), type(value)) != (float, int):
         raise ConfigError(f"{where}: expected {_JSON_TYPE_NAMES[type(default)]}, got {value!r}")
     return value
 
@@ -284,8 +287,9 @@ def validate_config(raw: str) -> ExperimentConfig:
             kind = canonical_baseline_name(name)
             if kind is None:
                 raise ConfigError(f"{where}: unknown predictor {name!r}")
-            _checked_object(entry, where, {"name", *hyperparameter_names(kind)})
-            hyper = {k: v for k, v in entry.items() if k != "name"}
+            defaults = hyperparameter_defaults(kind)
+            _checked_object(entry, where, {"name", *defaults})
+            hyper = {k: _typed(entry, f"{where}.{k}", defaults[k]) for k in entry if k != "name"}
             spec = BaselineSpec(name=name, kind=kind, hyper=hyper)
         if spec.name in seen_names:
             raise ConfigError(f"{where}: duplicate predictor name {spec.name!r}")

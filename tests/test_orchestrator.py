@@ -86,6 +86,38 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match=r"predictors\[0\].*kk"):
             validate_config(raw)
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"name": "knn", "k": True}, "k: expected an integer, got True"),
+            ({"name": "knn", "k": "5"}, "k: expected an integer, got '5'"),
+            ({"name": "knn", "k": 5.0}, "k: expected an integer, got 5.0"),
+            ({"name": "mnb", "alpha": "1"}, "alpha: expected a number, got '1'"),
+            ({"name": "mnb", "alpha": True}, "alpha: expected a number, got True"),
+            ({"name": "rf", "n_trees": 2.5}, "n_trees: expected an integer, got 2.5"),
+            ({"name": "rf", "bootstrap": 1}, "bootstrap: expected true or false, got 1"),
+            ({"name": "rf", "feature_subsample": None},
+             "feature_subsample: expected a string, got None"),
+            ({"name": "lg", "epochs": [200]}, "epochs: expected an integer, got [200]"),
+        ],
+    )
+    def test_wrongly_typed_hyperparameter_rejected(
+        self, fixture_corpus_path, tmp_path, entry, message
+    ):
+        raw = minimal_config(fixture_corpus_path, tmp_path, predictors=[{"name": "dt"}, entry])
+        with pytest.raises(ConfigError, match=rf"^predictors\[1\]\.{re.escape(message)}$"):
+            validate_config(raw)
+
+    def test_hyperparameter_of_its_default_type_accepted(self, fixture_corpus_path, tmp_path):
+        # an integer is also a number: alpha 1 stays the integer the config gave
+        entries = [{"name": "mnb", "alpha": 1}, {"name": "lg", "learning_rate": 0.5},
+                   {"name": "rf", "bootstrap": False, "feature_subsample": "all", "n_trees": 3}]
+        config = validate_config(minimal_config(fixture_corpus_path, tmp_path, predictors=entries))
+        assert [spec.hyper for spec in config.predictors] == [
+            {k: v for k, v in entry.items() if k != "name"} for entry in entries
+        ]
+        assert type(config.predictors[0].hyper["alpha"]) is int
+
     def test_round_trip_is_lossless(self, fixture_corpus_path, tmp_path):
         raw = minimal_config(
             fixture_corpus_path,
