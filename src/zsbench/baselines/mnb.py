@@ -39,12 +39,12 @@ def train_mnb(
     y = check_training_input(x, labels, schema, require_all_classes=True)
     n, v = x.shape
     k = len(schema)
-
-    log_priors = np.zeros(k)
-    log_likelihoods = np.zeros((k, v))
-    for c in range(k):
-        rows = x[np.flatnonzero(y == c)]
-        log_priors[c] = np.log(rows.shape[0] / n)
-        term_sums = np.asarray(rows.sum(axis=0)).ravel()
-        log_likelihoods[c] = np.log(term_sums + alpha) - np.log(term_sums.sum() + alpha * v)
+    # row c marks the training rows of class c, so one product sums each class's
+    # rows; it adds them in row order, as a per-class column sum does
+    members = sparse.csr_matrix((np.ones(n), (y, np.arange(n))), shape=(k, n))
+    term_sums = (members @ x).toarray()
+    log_priors = np.log(np.bincount(y, minlength=k) / n)
+    log_likelihoods = np.log(term_sums + alpha) - np.log(
+        term_sums.sum(axis=1, keepdims=True) + alpha * v
+    )
     return MnbModel(schema, log_priors, log_likelihoods)

@@ -107,3 +107,33 @@ class TestBruteForceEquivalence:
                 assert got[1] == pytest.approx(expected[1], abs=1e-12)
             n_cases += 1
         assert n_cases > 5000
+
+
+def per_class_fit(x, y, k, alpha):
+    """Reference: one column sum over each class's rows, as train_mnb did
+    before its class sums became one product."""
+    n, v = x.shape
+    log_priors, log_likelihoods = np.zeros(k), np.zeros((k, v))
+    for c in range(k):
+        rows = x[np.flatnonzero(y == c)]
+        log_priors[c] = np.log(rows.shape[0] / n)
+        term_sums = np.asarray(rows.sum(axis=0)).ravel()
+        log_likelihoods[c] = np.log(term_sums + alpha) - np.log(term_sums.sum() + alpha * v)
+    return log_priors, log_likelihoods
+
+
+def test_class_sums_bit_equal_to_per_class_loop():
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        k = int(rng.integers(2, 6))
+        n = int(rng.integers(k, 300))
+        v = int(rng.integers(1, 2000))
+        x = sparse.random(n, v, density=float(rng.uniform(0.002, 0.3)), format="csr",
+                          random_state=int(rng.integers(2**31)))
+        y = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, n - k)]))
+        schema = LabelSchema("t", [f"c{c}" for c in range(k)])
+        alpha = float(rng.choice([1e-9, 0.01, 1.0, 3.0]))
+        model = train_mnb(x, [f"c{c}" for c in y], schema, alpha=alpha)
+        log_priors, log_likelihoods = per_class_fit(x, y, k, alpha)
+        assert model.log_priors.tobytes() == log_priors.tobytes()
+        assert model.log_likelihoods.tobytes() == log_likelihoods.tobytes()
