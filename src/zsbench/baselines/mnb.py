@@ -39,11 +39,14 @@ def train_mnb(
     y = check_training_input(x, labels, schema, require_all_classes=True)
     n, v = x.shape
     k = len(schema)
-    # row c marks the training rows of class c, so one product sums each class's
-    # rows; it adds them in row order, as a per-class column sum does
-    members = sparse.csr_matrix((np.ones(n), (y, np.arange(n))), shape=(k, n))
+    # row c of `members` marks the training rows of class c in ascending order, so
+    # one product adds each class's rows in the order a per-class column sum does;
+    # built from indptr, as the (row, col) form's conversion costs peak RSS
+    class_sizes = np.bincount(y, minlength=k)
+    indptr = np.concatenate(([0], np.cumsum(class_sizes)))
+    members = sparse.csr_matrix((np.ones(n), np.argsort(y, kind="stable"), indptr), shape=(k, n))
     term_sums = (members @ x).toarray()
-    log_priors = np.log(np.bincount(y, minlength=k) / n)
+    log_priors = np.log(class_sizes / n)
     log_likelihoods = np.log(term_sums + alpha) - np.log(
         term_sums.sum(axis=1, keepdims=True) + alpha * v
     )
