@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from scipy import sparse
 
@@ -40,13 +42,15 @@ def train_mnb(
     n, v = x.shape
     k = len(schema)
     # row c of `members` marks the training rows of class c in ascending order, so
-    # one product adds each class's rows in the order a per-class column sum does;
-    # built from indptr, as the (row, col) form's conversion costs peak RSS
-    class_sizes = np.bincount(y, minlength=k)
-    indptr = np.concatenate(([0], np.cumsum(class_sizes)))
-    members = sparse.csr_matrix((np.ones(n), np.argsort(y, kind="stable"), indptr), shape=(k, n))
+    # one product adds each class's rows in the order a per-class column sum does.
+    # Its parts come from plain Python and numpy calls that runs already make: a
+    # first call of np.bincount and np.cumsum raised a no-tree run's peak RSS
+    rows = [np.flatnonzero(y == c) for c in range(k)]
+    sizes = [len(r) for r in rows]
+    indptr = [0, *itertools.accumulate(sizes)]
+    members = sparse.csr_matrix((np.ones(n), np.concatenate(rows), indptr), shape=(k, n))
     term_sums = (members @ x).toarray()
-    log_priors = np.log(class_sizes / n)
+    log_priors = np.log(np.array(sizes) / n)
     log_likelihoods = np.log(term_sums + alpha) - np.log(
         term_sums.sum(axis=1, keepdims=True) + alpha * v
     )
