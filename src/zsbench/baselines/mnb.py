@@ -41,10 +41,9 @@ def train_mnb(
     y = check_training_input(x, labels, schema, require_all_classes=True)
     n, v = x.shape
     k = len(schema)
-    # row c of `members` marks the training rows of class c in ascending order, so
-    # one product adds each class's rows in the order a per-class column sum does.
-    # Its parts come from plain Python and numpy calls that runs already make: a
-    # first call of np.bincount and np.cumsum raised a no-tree run's peak RSS
+    # row c marks class c's training rows in ascending order, so one product adds
+    # them in a per-class column sum's order; built only from calls runs already
+    # make, as a first np.bincount or np.cumsum raised a no-tree run's peak RSS
     rows = [np.flatnonzero(y == c) for c in range(k)]
     sizes = [len(r) for r in rows]
     indptr = [0, *itertools.accumulate(sizes)]

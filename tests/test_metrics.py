@@ -190,6 +190,11 @@ class TestBuildReport:
         report = build_report([0, 1], [0, 1], AB, scores=scores)
         assert report.auc == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("scores", [np.full((2, 3), 1 / 3), np.array([0.9, 0.2])])
+    def test_scores_must_have_one_column_per_label(self, scores):
+        with pytest.raises(MetricsError, match="does not match schema"):
+            build_report([0, 1], [0, 1], AB, scores=scores)
+
     def test_json_round_trip_shape(self):
         report = build_report([0, 1, 0], [0, 1, 1], AB)
         data = report.to_json_dict()
