@@ -156,15 +156,14 @@ def main() -> int:
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
+    out = ROOT / "bench" / f"BENCH_scale_{sha}.json"
+    out.write_text(json.dumps(result, indent=2) + "\n", "utf-8")
+    print(f"wrote {out.relative_to(ROOT)}")
     recorded = committed_shas()
     for size, figures in result["sizes"].items():
         if size in recorded and figures["report_sha256"] != recorded[size][1]:
             print(f"scale: warning: n={size} report sha256 {figures['report_sha256']} differs "
                   f"from {recorded[size][1]} in {recorded[size][0]}", file=sys.stderr)
-
-    out = ROOT / "bench" / f"BENCH_scale_{sha}.json"
-    out.write_text(json.dumps(result, indent=2) + "\n", "utf-8")
-    print(f"wrote {out.relative_to(ROOT)}")
     for problem in problems:
         print(f"scale: {problem}", file=sys.stderr)
     return 1 if problems else 0
