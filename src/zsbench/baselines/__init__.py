@@ -40,15 +40,29 @@ def canonical_baseline_name(name: str) -> str | None:
     return key if key in _TRAINERS else None
 
 
+def _module(kind: str):
+    return importlib.import_module(f"{__name__}.{_TRAINERS[kind][0]}")
+
+
 def _trainer(kind: str):
-    module, trainer = _TRAINERS[kind]
-    return getattr(importlib.import_module(f"{__name__}.{module}"), trainer)
+    return getattr(_module(kind), _TRAINERS[kind][1])
 
 
 def hyperparameter_defaults(kind: str) -> dict:
     """The keyword parameters of a trainer, after (x, labels, schema), and their defaults."""
     params = list(inspect.signature(_trainer(kind)).parameters.values())[3:]
     return {p.name: p.default for p in params}
+
+
+def check_hyperparameters(kind: str, hyper: dict) -> None:
+    """Run the range checks that need no training data, which the trainer
+    also runs first, on `hyper` and the defaults of what it leaves out.
+
+    Raises the trainer's TrainingError, a ValueError.
+    """
+    check = _module(kind).check_hyperparameters
+    values = {**hyperparameter_defaults(kind), **hyper}
+    check(**{name: values[name] for name in inspect.signature(check).parameters if name in values})
 
 
 def train_baseline(name: str, x, labels: list[str], schema: LabelSchema, **hyper):

@@ -61,12 +61,16 @@ class KnnModel:
         return nearest
 
 
-def train_knn(x: sparse.csr_matrix, labels: list[str], schema: LabelSchema, k: int = 5) -> KnnModel:
-    y = check_training_input(x, labels, schema)
+def check_hyperparameters(k: int) -> None:
     if k < 1:
         raise TrainingError(f"k must be positive, got {k}")
     if k % 2 == 0:
         raise TrainingError(f"k must be odd, got {k}")
+
+
+def train_knn(x: sparse.csr_matrix, labels: list[str], schema: LabelSchema, k: int = 5) -> KnnModel:
+    check_hyperparameters(k)
+    y = check_training_input(x, labels, schema)
     if k > x.shape[0]:
         raise TrainingError(f"k={k} exceeds training set size {x.shape[0]}")
     return KnnModel(schema, x, y, k)

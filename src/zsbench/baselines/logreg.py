@@ -50,6 +50,13 @@ class LogRegModel:
         return normalize_rows(softmax(x @ self.weights.T + self.bias))
 
 
+def check_hyperparameters(learning_rate: float, epochs: int) -> None:
+    if not learning_rate > 0:  # NaN too
+        raise TrainingError(f"learning_rate must be positive, got {learning_rate}")
+    if epochs < 0:
+        raise TrainingError(f"epochs must be non-negative, got {epochs}")
+
+
 def train_logreg(
     x: sparse.csr_matrix,
     labels: list[str],
@@ -65,10 +72,7 @@ def train_logreg(
     accepted for config symmetry but unused without minibatching.
     """
     del seed
-    if learning_rate <= 0:
-        raise TrainingError(f"learning_rate must be positive, got {learning_rate}")
-    if epochs < 0:
-        raise TrainingError(f"epochs must be non-negative, got {epochs}")
+    check_hyperparameters(learning_rate, epochs)
     y = check_training_input(x, labels, schema)
     k = len(schema)
     y_onehot = np.zeros((x.shape[0], k))

@@ -25,6 +25,11 @@ class MnbModel:
         return normalize_rows(np.exp(log_post))
 
 
+def check_hyperparameters(alpha: float) -> None:
+    if not alpha > 0:  # NaN too
+        raise TrainingError(f"alpha must be positive, got {alpha}")
+
+
 def train_mnb(
     x: sparse.csr_matrix,
     labels: list[str],
@@ -36,8 +41,7 @@ def train_mnb(
     likelihood(t | c) = (sum of t's weights in class c + alpha)
                       / (sum of all weights in class c + alpha * V)
     """
-    if alpha <= 0:
-        raise TrainingError(f"alpha must be positive, got {alpha}")
+    check_hyperparameters(alpha)
     y = check_training_input(x, labels, schema, require_all_classes=True)
     n, v = x.shape
     k = len(schema)

@@ -186,6 +186,20 @@ class ForestModel:
         return normalize_rows(total / len(self.trees))
 
 
+def check_hyperparameters(
+    max_depth: int, min_leaf: int, n_trees: int = 1, feature_subsample: str = "all"
+) -> None:
+    """The range checks of both trainers; the last two default to the decision tree's."""
+    if n_trees < 1:
+        raise TrainingError(f"n_trees must be >= 1, got {n_trees}")
+    if feature_subsample not in ("sqrt", "all"):
+        raise TrainingError(f"feature_subsample must be 'sqrt' or 'all', got {feature_subsample!r}")
+    if max_depth < 1:
+        raise TrainingError(f"max_depth must be >= 1, got {max_depth}")
+    if min_leaf < 1:
+        raise TrainingError(f"min_leaf must be >= 1, got {min_leaf}")
+
+
 def train_rf(
     x: sparse.csr_matrix,
     labels: list[str],
@@ -202,14 +216,7 @@ def train_rf(
     feature_subsample "sqrt" considers floor(sqrt(V)) random features per
     split; "all" considers every feature.
     """
-    if n_trees < 1:
-        raise TrainingError(f"n_trees must be >= 1, got {n_trees}")
-    if feature_subsample not in ("sqrt", "all"):
-        raise TrainingError(f"feature_subsample must be 'sqrt' or 'all', got {feature_subsample!r}")
-    if max_depth < 1:
-        raise TrainingError(f"max_depth must be >= 1, got {max_depth}")
-    if min_leaf < 1:
-        raise TrainingError(f"min_leaf must be >= 1, got {min_leaf}")
+    check_hyperparameters(max_depth, min_leaf, n_trees, feature_subsample)
     y = check_training_input(x, labels, schema)
     xc = _csc(x)
     n, v = xc.shape

@@ -15,9 +15,8 @@ from collections import Counter
 from itertools import chain, repeat
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 if TYPE_CHECKING:
+    import numpy as np
     from scipy import sparse
 
 
@@ -43,7 +42,9 @@ class Vectorizer:
         Out-of-vocabulary tokens are ignored, so all-OOV or empty documents
         yield zero rows.
         """
-        from scipy import sparse  # here, so a run without baselines never loads scipy
+        # here, so a run without baselines never loads numpy or scipy
+        import numpy as np
+        from scipy import sparse
 
         # one entry of 1 per token, summed per (row, column) by scipy, which
         # sorts each row's columns; an out-of-vocabulary token goes to an
@@ -88,6 +89,8 @@ def fit_vectorizer(
     kept = sorted(t for t, df in doc_freq.items() if df >= min_df)
     if not kept:
         raise FeatureError(f"all terms pruned at min_df={min_df}")
+
+    import numpy as np
 
     n = len(train_docs)
     idf = np.array([math.log((1 + n) / (1 + doc_freq[t])) + 1.0 for t in kept])

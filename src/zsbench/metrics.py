@@ -4,20 +4,57 @@ and mean±std aggregation of repeated runs.
 Conventions: per-class F1 with no predictions and no positives is 0; MCC
 with a zero denominator is 0; AUC uses the Mann-Whitney rank statistic
 with ties counted as half.
+
+The label metrics and the aggregation are plain Python, so a run whose
+predictors are all LLMs never imports numpy; AUC, which only a baseline's
+score array reaches, imports it when called. The floats are those numpy
+gives, bit for bit: counts are integers, so their sums and dot products are
+exact, and float sums follow numpy's pairwise order (`_numpy_sum`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .dataset import LabelSchema
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class MetricsError(ValueError):
     """Raised for malformed metric input."""
+
+
+def _pairwise(values: list[float], start: int, n: int) -> float:
+    """numpy's pairwise sum of the float64s values[start:start + n]."""
+    if n < 8:
+        total = 0.0
+        for i in range(start, start + n):
+            total += values[i]
+        return total
+    if n <= 128:
+        # eight running sums, then the rest one by one
+        r = values[start : start + 8]
+        end = start + n - n % 8
+        for i in range(start + 8, end, 8):
+            for j in range(8):
+                r[j] += values[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(end, start + n):
+            total += values[i]
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise(values, start, half) + _pairwise(values, start + half, n - half)
+
+
+def _numpy_sum(values: list[float]) -> float:
+    """The sum `np.sum` gives for a list of floats: the pairwise total added
+    to the reduction's initial 0.0. Not `sum()`, whose order differs (and is
+    compensated from Python 3.12), so means would drift from numpy's."""
+    return 0.0 + _pairwise(values, 0, len(values))
 
 
 @dataclass(frozen=True)
@@ -37,12 +74,13 @@ class ConfusionMatrix:
         if any(c < 0 for row in counts for c in row):
             raise MetricsError("confusion matrix entries must be non-negative")
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.counts, dtype=np.int64)
-
     @property
     def total(self) -> int:
-        return int(self.as_array().sum())
+        return sum(map(sum, self.counts))
+
+    @property
+    def trace(self) -> int:
+        return sum(self.counts[i][i] for i in range(len(self.counts)))
 
 
 def confusion_matrix(y_true, y_pred, schema: LabelSchema) -> ConfusionMatrix:
@@ -51,8 +89,6 @@ def confusion_matrix(y_true, y_pred, schema: LabelSchema) -> ConfusionMatrix:
     if len(y_true) != len(y_pred):
         raise MetricsError(f"length mismatch: {len(y_true)} truths vs {len(y_pred)} predictions")
     k = len(schema)
-    # plain Python, not numpy masks: the first call of a numpy kernel adds
-    # resident memory that a label-only (LLM) run would otherwise not pay
     counts = [[0] * k for _ in range(k)]
     for t, p in zip(y_true, y_pred):
         if not (0 <= t < k and 0 <= p < k):
@@ -62,23 +98,22 @@ def confusion_matrix(y_true, y_pred, schema: LabelSchema) -> ConfusionMatrix:
 
 
 def accuracy(cm: ConfusionMatrix) -> float:
-    a = cm.as_array()
-    total = a.sum()
+    total = cm.total
     if total == 0:
         raise MetricsError("empty confusion matrix")
-    return float(np.trace(a) / total)
+    return cm.trace / total
 
 
 def per_class_prf(cm: ConfusionMatrix) -> dict[str, dict[str, float]]:
     """Per-class precision, recall and F1 with 0/0 -> 0."""
-    a = cm.as_array().astype(float)
+    counts = cm.counts
     out = {}
     for i, label in enumerate(cm.schema.labels):
-        tp = a[i, i]
-        fp = a[:, i].sum() - tp
-        fn = a[i, :].sum() - tp
-        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-        recall = tp / (tp + fn) if tp + fn > 0 else 0.0
+        tp = counts[i][i]
+        predicted = sum(row[i] for row in counts)
+        actual = sum(counts[i])
+        precision = tp / predicted if predicted > 0 else 0.0
+        recall = tp / actual if actual > 0 else 0.0
         f1 = (
             2 * precision * recall / (precision + recall)
             if precision + recall > 0
@@ -91,28 +126,33 @@ def per_class_prf(cm: ConfusionMatrix) -> dict[str, dict[str, float]]:
 def macro_f1(cm: ConfusionMatrix) -> float:
     if cm.total == 0:
         raise MetricsError("empty confusion matrix")
-    prf = per_class_prf(cm)
-    return float(np.mean([v["f1"] for v in prf.values()]))
+    f1s = [v["f1"] for v in per_class_prf(cm).values()]
+    return _numpy_sum(f1s) / len(f1s)
+
+
+def _dot(a: list[int], b: list[int]) -> float:
+    # exact in integers; numpy's float dot of counts is exact below 2**53 too
+    return float(sum(x * y for x, y in zip(a, b)))
 
 
 def mcc(cm: ConfusionMatrix) -> float:
     """Multi-class Matthews correlation (covariance form over the matrix)."""
-    a = cm.as_array().astype(float)
-    s = a.sum()
+    s = float(cm.total)
     if s == 0:
         raise MetricsError("empty confusion matrix")
-    c = np.trace(a)
-    t = a.sum(axis=1)  # true counts
-    p = a.sum(axis=0)  # predicted counts
-    cov = c * s - float(t @ p)
-    denom = math.sqrt(s * s - float(p @ p)) * math.sqrt(s * s - float(t @ t))
+    t = [sum(row) for row in cm.counts]  # true counts
+    p = [sum(col) for col in zip(*cm.counts)]  # predicted counts
+    cov = cm.trace * s - _dot(t, p)
+    denom = math.sqrt(s * s - _dot(p, p)) * math.sqrt(s * s - _dot(t, t))
     if denom == 0:
         return 0.0
-    return float(cov / denom)
+    return cov / denom
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """Ranks 1..n with ties sharing their average rank."""
+    import numpy as np
+
     _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
     return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
@@ -136,6 +176,8 @@ def auc_ovr_macro(y_true, scores: np.ndarray) -> float:
     is skipped when the evaluation set has no positive or no negative example
     for it; at least one class must remain.
     """
+    import numpy as np
+
     if len(y_true) != len(scores):
         raise MetricsError(f"length mismatch: {len(y_true)} truths vs {len(scores)} scores")
     y = np.asarray(y_true)
@@ -237,6 +279,9 @@ def aggregate_runs(values: list[float], metric: str = "") -> RunAggregate:
     """Mean and (n-1) standard deviation; std is undefined for one value."""
     if not values:
         raise MetricsError("no values to aggregate")
-    mean = float(np.mean(values))
-    std = float(np.std(values, ddof=1)) if len(values) >= 2 else None
+    xs = [float(v) for v in values]
+    n = len(xs)
+    mean = _numpy_sum(xs) / n
+    # np.std(ddof=1): squared deviations from that mean, summed the same way
+    std = math.sqrt(_numpy_sum([(x - mean) * (x - mean) for x in xs]) / (n - 1)) if n >= 2 else None
     return RunAggregate(metric=metric, values=tuple(values), mean=mean, std=std)

@@ -22,7 +22,8 @@ from pathlib import Path
 
 from . import __version__
 from .baselines import (
-    DISPLAY_NAMES, canonical_baseline_name, hyperparameter_defaults, train_baseline,
+    DISPLAY_NAMES, canonical_baseline_name, check_hyperparameters, hyperparameter_defaults,
+    train_baseline,
 )
 from .dataset import LabeledCorpus, LabelSchema, load_corpus, stratified_split
 from .features import fit_vectorizer
@@ -290,6 +291,10 @@ def validate_config(raw: str) -> ExperimentConfig:
             defaults = hyperparameter_defaults(kind)
             _checked_object(entry, where, {"name", *defaults})
             hyper = {k: _typed(entry, f"{where}.{k}", defaults[k]) for k in entry if k != "name"}
+            try:
+                check_hyperparameters(kind, hyper)
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
             spec = BaselineSpec(name=name, kind=kind, hyper=hyper)
         if spec.name in seen_names:
             raise ConfigError(f"{where}: duplicate predictor name {spec.name!r}")

@@ -2,10 +2,10 @@
 
 Each case starts a fresh interpreter, as `zsbench run` does, on the fixture
 corpus. It imports `zsbench.cli`, loads the config and optionally runs it, and
-reports `sys.modules` after `load_config` and after `run_experiment`. scipy
-comes with the baselines and the stdlib `http.client` with an `http` provider;
-whatever a config needs is imported while it is validated, so the run imports
-none of it. No config loads `requests` or the libraries it brings.
+reports `sys.modules` after `load_config` and after `run_experiment`. numpy
+and scipy come with the baselines and the stdlib `http.client` with an `http`
+provider; whatever a config needs is imported while it is validated, so the
+run imports none of it. No config loads `requests` or the libraries it brings.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def under(modules, *packages: str) -> set[str]:
 def test_llm_only_run_loads_no_scipy_requests_or_trainer(tmp_path):
     out = footprint(tmp_path, [mock_llm_predictor(repeat_count=2)], run=True)
     ran = set(out["ran"])
-    assert under(ran, "scipy", *REQUESTS_STACK) == set()
+    assert under(ran, "numpy", "scipy", *REQUESTS_STACK) == set()
     assert ran & TRAINER_MODULES == set()
     assert under(ran, "http.client", "ssl") == set()
     assert under(ran, "subprocess") == set()
@@ -113,4 +113,4 @@ def test_http_provider_loads_http_client_while_validating(tmp_path):
     }
     loaded = set(footprint(tmp_path, [entry], run=False)["loaded"])
     assert "http.client" in loaded
-    assert under(loaded, "scipy", *REQUESTS_STACK) == set()
+    assert under(loaded, "numpy", "scipy", *REQUESTS_STACK) == set()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import re
 
 import pytest
@@ -106,6 +107,29 @@ class TestValidateConfig:
     ):
         raw = minimal_config(fixture_corpus_path, tmp_path, predictors=[{"name": "dt"}, entry])
         with pytest.raises(ConfigError, match=rf"^predictors\[1\]\.{re.escape(message)}$"):
+            validate_config(raw)
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"name": "knn", "k": 4}, "k must be odd, got 4"),
+            ({"name": "mnb", "alpha": 0.0}, "alpha must be positive, got 0.0"),
+            ({"name": "mnb", "alpha": math.nan}, "alpha must be positive, got nan"),
+            ({"name": "lg", "epochs": -1}, "epochs must be non-negative, got -1"),
+            ({"name": "lg", "learning_rate": 0.0}, "learning_rate must be positive, got 0.0"),
+            ({"name": "lg", "learning_rate": math.nan}, "learning_rate must be positive, got nan"),
+            ({"name": "rf", "n_trees": 0}, "n_trees must be >= 1, got 0"),
+            ({"name": "rf", "feature_subsample": "half"},
+             "feature_subsample must be 'sqrt' or 'all', got 'half'"),
+            ({"name": "dt", "max_depth": 0}, "max_depth must be >= 1, got 0"),
+        ],
+    )
+    def test_out_of_range_hyperparameter_rejected(
+        self, fixture_corpus_path, tmp_path, entry, message
+    ):
+        # the trainer's own check, run at validation with the entry located
+        raw = minimal_config(fixture_corpus_path, tmp_path, predictors=[{"name": "dt"}, entry])
+        with pytest.raises(ConfigError, match=rf"^predictors\[1\]: {re.escape(message)}$"):
             validate_config(raw)
 
     def test_hyperparameter_of_its_default_type_accepted(self, fixture_corpus_path, tmp_path):
