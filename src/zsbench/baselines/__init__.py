@@ -44,14 +44,10 @@ def _module(kind: str):
     return importlib.import_module(f"{__name__}.{_TRAINERS[kind][0]}")
 
 
-def _trainer(kind: str):
+def trainer(kind: str):
+    """The baseline's trainer: its keyword parameters after (x, labels,
+    schema) are the hyperparameters, with their types and defaults."""
     return getattr(_module(kind), _TRAINERS[kind][1])
-
-
-def hyperparameter_defaults(kind: str) -> dict:
-    """The keyword parameters of a trainer, after (x, labels, schema), and their defaults."""
-    params = list(inspect.signature(_trainer(kind)).parameters.values())[3:]
-    return {p.name: p.default for p in params}
 
 
 def check_hyperparameters(kind: str, hyper: dict) -> None:
@@ -61,8 +57,11 @@ def check_hyperparameters(kind: str, hyper: dict) -> None:
     Raises the trainer's TrainingError, a ValueError.
     """
     check = _module(kind).check_hyperparameters
-    values = {**hyperparameter_defaults(kind), **hyper}
-    check(**{name: values[name] for name in inspect.signature(check).parameters if name in values})
+    params = inspect.signature(trainer(kind)).parameters
+    check(**{
+        name: hyper.get(name, params[name].default)
+        for name in inspect.signature(check).parameters if name in params
+    })
 
 
 def train_baseline(name: str, x, labels: list[str], schema: LabelSchema, **hyper):
@@ -72,4 +71,4 @@ def train_baseline(name: str, x, labels: list[str], schema: LabelSchema, **hyper
         from .common import TrainingError
 
         raise TrainingError(f"unknown baseline {name!r}")
-    return _trainer(key)(x, labels, schema, **hyper)
+    return trainer(key)(x, labels, schema, **hyper)

@@ -50,9 +50,11 @@ class LogRegModel:
         return normalize_rows(softmax(x @ self.weights.T + self.bias))
 
 
-def check_hyperparameters(learning_rate: float, epochs: int) -> None:
+def check_hyperparameters(learning_rate: float, l2_lambda: float, epochs: int) -> None:
     if not learning_rate > 0:  # NaN too
         raise TrainingError(f"learning_rate must be positive, got {learning_rate}")
+    if not l2_lambda >= 0:  # NaN too
+        raise TrainingError(f"l2_lambda must be non-negative, got {l2_lambda}")
     if epochs < 0:
         raise TrainingError(f"epochs must be non-negative, got {epochs}")
 
@@ -72,7 +74,7 @@ def train_logreg(
     accepted for config symmetry but unused without minibatching.
     """
     del seed
-    check_hyperparameters(learning_rate, epochs)
+    check_hyperparameters(learning_rate, l2_lambda, epochs)
     y = check_training_input(x, labels, schema)
     k = len(schema)
     y_onehot = np.zeros((x.shape[0], k))

@@ -66,10 +66,6 @@ class LabelSchema:
     def to_json_dict(self) -> dict:
         return {"task_name": self.task_name, "labels": list(self.labels)}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "LabelSchema":
-        return cls(task_name=data["task_name"], labels=data["labels"])
-
 
 @dataclass(frozen=True)
 class LabeledCorpus:

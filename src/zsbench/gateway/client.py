@@ -82,7 +82,7 @@ class LlmRunConfig:
             ("backoff_base_s", lambda v: v >= 0, ">= 0"),
         ):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not ok(value):
+            if not ok(value):
                 raise ValueError(f"{name} must be {expected}, got {value!r}")
 
 

@@ -27,8 +27,6 @@ class KeywordRuleProvider:
         noise: bool = False,
     ):
         rules = {} if rules is None else rules
-        if not isinstance(rules, dict):
-            raise TypeError(f"rules must map labels to keyword lists, got {rules!r}")
         default_label = schema.labels[0] if default_label is None else default_label
         unknown = [lab for lab in rules if lab not in schema.labels]
         if unknown:

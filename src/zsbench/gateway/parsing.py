@@ -23,15 +23,7 @@ from .client import GatewayError
 
 
 class PayloadError(GatewayError):
-    """No usable JSON classification in a response.
-
-    When the payload parsed as an object but nothing resolved, `partial`
-    carries the diagnostics gathered along the way.
-    """
-
-    def __init__(self, message: str, partial: "ParsedLabels | None" = None):
-        super().__init__(message)
-        self.partial = partial
+    """A response holds no JSON object that parses."""
 
 
 @dataclass
@@ -128,7 +120,8 @@ def resolve_labels(
 
     Quoted integer keys are tolerated; labels match by trim + case-fold
     (counted as a repair when not an exact match); extra indices are
-    dropped; unknown labels leave their index unresolved.
+    dropped; unknown labels leave their index unresolved. An object of
+    which nothing resolves gives an empty `resolved` and its diagnostics.
     """
     try:
         data = json.loads(payload)
@@ -157,8 +150,6 @@ def resolve_labels(
         result.resolved[index] = label
 
     diag.missing_index = len(wanted) - len(result.resolved)
-    if not result.resolved:
-        raise PayloadError("zero resolvable entries in payload", partial=result)
     return result
 
 
@@ -175,14 +166,9 @@ def parse_classification(
     failed.diagnostics.unparseable = 1
     try:
         payload, stripped = extract_json_payload(raw)
+        parsed = resolve_labels(payload, batch_indices, schema)
     except PayloadError:
         return failed
-    try:
-        parsed = resolve_labels(payload, batch_indices, schema)
-    except PayloadError as exc:
-        if exc.partial is None:
-            return failed
-        parsed = exc.partial
     if stripped:
         parsed.diagnostics.extraneous_text_stripped = 1
     return parsed

@@ -49,10 +49,6 @@ class TaskDescription:
     def to_json_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TaskDescription":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class PromptBundle:

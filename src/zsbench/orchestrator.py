@@ -12,20 +12,21 @@ artifacts land in a per-run directory.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+import typing
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from datetime import datetime
 from pathlib import Path
 
 from . import __version__
 from .baselines import (
-    DISPLAY_NAMES, canonical_baseline_name, check_hyperparameters, hyperparameter_defaults,
-    train_baseline,
+    DISPLAY_NAMES, canonical_baseline_name, check_hyperparameters, train_baseline, trainer,
 )
-from .dataset import LabeledCorpus, LabelSchema, load_corpus, stratified_split
+from .dataset import CorpusError, LabeledCorpus, LabelSchema, load_corpus, stratified_split
 from .features import fit_vectorizer
 from .gateway import (
     AuditLog,
@@ -48,10 +49,10 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class DatasetSpec:
     path: str
-    format: str
-    text_field: str
-    label_field: str
     schema: LabelSchema
+    format: str = "csv"
+    text_field: str = "text"
+    label_field: str = "label"
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -119,57 +120,74 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ConfigError(f"{where}: missing required field {key!r}")
-    return mapping[key]
+# the JSON type of a parameter's values, by the type its annotation names
+_JSON_TYPES = {
+    str: "a string", int: "an integer", float: "a number", bool: "true or false",
+    dict: "an object", list: "a list",
+}
 
 
-_JSON_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false"}
+def _check_type(value, annotation, where: str) -> None:
+    """Refuse `value` unless it is JSON of the type that `annotation` declares.
+
+    An integer is also a number, and `true` is never one. Null fits only an
+    `X | None`. A dataclass is an object (read on its own by `_fields`), a
+    `list[str]` or `tuple[str, ...]` is a list of strings, and each value of
+    a `dict[str, X]` is an X, located by its key.
+    """
+    args = typing.get_args(annotation)
+    if type(None) in args:
+        if value is None:
+            return
+        annotation, args = args[0], typing.get_args(args[0])
+    kind = typing.get_origin(annotation) or annotation
+    kind = dict if is_dataclass(kind) else list if kind is tuple else kind
+    if kind is list and args:
+        name = "a list of strings"
+        fits = type(value) is list and all(type(item) is str for item in value)
+    else:
+        name = _JSON_TYPES[kind]
+        fits = type(value) is kind or (kind is float and type(value) is int)
+    if not fits:
+        raise ConfigError(f"{where}: expected {name}, got {value!r}")
+    if kind is dict and args:
+        for key, item in value.items():
+            _check_type(item, args[1], f"{where}[{key!r}]")
 
 
-def _typed(mapping: dict, where: str, default):
-    """The value under the last part of the dotted location `where`, or
-    `default`, once it has the default's JSON type: an integer is also a
-    number, and `true` is neither."""
-    value = mapping.get(where.rsplit(".", 1)[-1], default)
-    if type(value) is not type(default) and (type(default), type(value)) != (float, int):
-        raise ConfigError(f"{where}: expected {_JSON_TYPE_NAMES[type(default)]}, got {value!r}")
-    return value
-
-
-def _checked_object(data, where: str, allowed) -> dict:
-    """`data` itself, once it is known to be an object with no key outside `allowed`."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where}: expected an object")
-    unknown = sorted(set(data) - set(allowed))
+def _fields(target, data, where: str, given=()) -> dict:
+    """`data`, read as the keyword arguments of `target`, the constructor or
+    function that consumes it: `data` must be an object that names only
+    parameters of `target` outside `given`, leaves out none without a
+    default, and gives each a value of its annotation's JSON type.
+    `where` locates `data`; "" is the top level of the config, whose
+    fields are located by their names alone."""
+    if type(data) is not dict:
+        raise ConfigError(f"{where or 'config'}: expected an object, got {data!r}")
+    params = inspect.signature(target, eval_str=True).parameters
+    unknown = sorted(key for key in data if key not in params or key in given)
     if unknown:
-        raise ConfigError(f"{where}: unknown fields {unknown}")
+        raise ConfigError(f"{where or 'config'}: unknown fields {unknown}")
+    for name, param in params.items():
+        if name in data:
+            _check_type(data[name], param.annotation, f"{where}.{name}" if where else name)
+        elif param.default is param.empty and name not in given:
+            raise ConfigError(f"{where or 'config'}: missing required field {name!r}")
     return data
-
-
-def _parse_policy(data, where: str, default: CleaningPolicy) -> CleaningPolicy:
-    if data is None:
-        return default
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where}: expected an object of boolean flags")
-    try:
-        base = default.to_json_dict()
-        base.update(data)
-        return CleaningPolicy.from_json_dict(base)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
 
 
 # the keys of an llm entry that are not LlmRunConfig fields
 _LLM_ENTRY_KEYS = ("name", "type", "provider", "task", "text_variant")
 
+# the parameters of every trainer that come from the data, not the config
+_TRAINER_INPUTS = ("x", "labels", "schema")
+
 
 def _parse_llm_predictor(
-    entry: dict, where: str, schema: LabelSchema, run_defaults: dict
+    entry: dict, where: str, schema: LabelSchema, repeat_count: int
 ) -> LlmSpec:
-    provider = _require(entry, "provider", where)
-    if not isinstance(provider, dict) or "type" not in provider:
+    provider = entry.get("provider")
+    if type(provider) is not dict or "type" not in provider:
         raise ConfigError(f"{where}.provider: expected an object with a 'type'")
     # only a mock entry may leave out the model name (it defaults to "mock" below)
     if provider["type"] == "http" and "model" not in entry:
@@ -185,20 +203,18 @@ def _parse_llm_predictor(
     if task_data is None:
         task = TaskDescription.generic(schema.task_name)
     else:
-        try:
-            task = TaskDescription.from_json_dict(task_data)
-        except TypeError as exc:
-            raise ConfigError(f"{where}.task: {exc}") from exc
+        task = TaskDescription(**_fields(TaskDescription, task_data, f"{where}.task"))
 
     run_fields = {k: v for k, v in entry.items() if k not in _LLM_ENTRY_KEYS}
+    run_fields = {"model": "mock", "repeat_count": repeat_count, **run_fields}
+    _fields(LlmRunConfig, run_fields, where)
     try:
-        run = LlmRunConfig(**{"model": "mock", **run_defaults, **run_fields})
-    except (TypeError, ValueError) as exc:
+        run = LlmRunConfig(**run_fields)
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
     name = entry.get("name", entry.get("model", "llm"))
-    if not isinstance(name, str):
-        raise ConfigError(f"{where}.name: expected a string, got {name!r}")
+    _check_type(name, str, f"{where}.name")
     spec = LlmSpec(
         name=name,
         run=run,
@@ -206,17 +222,23 @@ def _parse_llm_predictor(
         task=task,
         text_variant=text_variant,
     )
-    try:
-        _build_provider(spec, schema)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}.provider: {exc}") from exc
+    _build_provider(spec, schema, f"{where}.provider")
     return spec
 
 
-_CONFIG_KEYS = (
-    "dataset", "split", "cleaning", "llm_cleaning", "features", "repeat_count",
-    "predictors", "output_dir",
-)
+def _parse_baseline(entry: dict, where: str) -> BaselineSpec:
+    name = entry.get("name")
+    _check_type(name, str, f"{where}.name")
+    kind = canonical_baseline_name(name)
+    if kind is None:
+        raise ConfigError(f"{where}: unknown predictor {name!r}")
+    hyper = {k: v for k, v in entry.items() if k != "name"}
+    _fields(trainer(kind), hyper, where, _TRAINER_INPUTS)
+    try:
+        check_hyperparameters(kind, hyper)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return BaselineSpec(name=name, kind=kind, hyper=hyper)
 
 
 def validate_config(raw: str) -> ExperimentConfig:
@@ -225,93 +247,76 @@ def validate_config(raw: str) -> ExperimentConfig:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
-    data = _checked_object(data, "config", _CONFIG_KEYS)
+    return _experiment_config(**_fields(_experiment_config, data, ""))
 
-    ds = _checked_object(
-        _require(data, "dataset", "config"), "dataset", [f.name for f in fields(DatasetSpec)]
-    )
-    schema_data = _checked_object(
-        _require(ds, "schema", "dataset"), "dataset.schema", [f.name for f in fields(LabelSchema)]
-    )
-    labels = _require(schema_data, "labels", "dataset.schema")
-    if type(labels) is not list or not all(type(label) is str for label in labels):
-        raise ConfigError(f"dataset.schema.labels: expected a list of strings, got {labels!r}")
-    try:
-        schema = LabelSchema.from_json_dict(schema_data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"dataset.schema: {exc}") from exc
-    fmt = ds.get("format", "csv")
-    if fmt not in ("csv", "jsonl"):
-        raise ConfigError(f"dataset.format: expected csv|jsonl, got {fmt!r}")
-    _require(ds, "path", "dataset")
-    dataset = DatasetSpec(
-        path=_typed(ds, "dataset.path", ""),
-        format=fmt,
-        text_field=_typed(ds, "dataset.text_field", "text"),
-        label_field=_typed(ds, "dataset.label_field", "label"),
-        schema=schema,
-    )
 
-    split = _checked_object(data.get("split", {}), "split", ("test_size", "seed"))
-    test_size = _typed(split, "split.test_size", 150)
+def _split(test_size: int = 150, seed: int = 0) -> tuple[int, int]:
+    """The `split` object's fields."""
     if test_size < 1:
         raise ConfigError(f"split.test_size: expected a positive integer, got {test_size!r}")
-    split_seed = _typed(split, "split.seed", 0)
+    return test_size, seed
 
-    cleaning = _parse_policy(data.get("cleaning"), "cleaning", CleaningPolicy())
-    llm_cleaning = _parse_policy(
-        data.get("llm_cleaning"), "llm_cleaning", CleaningPolicy.tweet_cleaning()
-    )
 
-    feats = _checked_object(data.get("features", {}), "features", ("min_df", "l2_normalize"))
-    min_df = _typed(feats, "features.min_df", 2)
+def _features(min_df: int = 2, l2_normalize: bool = True) -> tuple[int, bool]:
+    """The `features` object's fields."""
     if min_df < 1:
         raise ConfigError(f"features.min_df: expected a positive integer, got {min_df!r}")
-    l2_normalize = _typed(feats, "features.l2_normalize", True)
+    return min_df, l2_normalize
 
-    # a top-level repeat_count is the default of every llm entry
-    run_defaults = {"repeat_count": data["repeat_count"]} if "repeat_count" in data else {}
 
-    entries = _require(data, "predictors", "config")
-    if not isinstance(entries, list) or not entries:
+def _experiment_config(
+    dataset: dict,
+    predictors: list,
+    split: dict | None = None,
+    cleaning: dict | None = None,
+    llm_cleaning: dict | None = None,
+    features: dict | None = None,
+    repeat_count: int = LlmRunConfig.repeat_count,
+    output_dir: str = "runs",
+) -> ExperimentConfig:
+    """The experiment that the config's top-level fields describe; a
+    top-level `repeat_count` is the default of every llm entry."""
+    dataset = _fields(DatasetSpec, dataset, "dataset")
+    schema_fields = _fields(LabelSchema, dataset["schema"], "dataset.schema")
+    try:
+        schema = LabelSchema(**schema_fields)
+    except CorpusError as exc:
+        raise ConfigError(f"dataset.schema: {exc}") from exc
+    dataset = DatasetSpec(**{**dataset, "schema": schema})
+    if dataset.format not in ("csv", "jsonl"):
+        raise ConfigError(f"dataset.format: expected csv|jsonl, got {dataset.format!r}")
+
+    test_size, split_seed = _split(**_fields(_split, split or {}, "split"))
+    cleaning = _fields(CleaningPolicy, cleaning or {}, "cleaning")
+    llm_cleaning = _fields(CleaningPolicy, llm_cleaning or {}, "llm_cleaning")
+    min_df, l2_normalize = _features(**_fields(_features, features or {}, "features"))
+
+    if not predictors:
         raise ConfigError("predictors: at least one predictor is required")
-    predictors = []
+    specs = []
     seen_names = set()
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(predictors):
         where = f"predictors[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{where}: expected an object")
+        if type(entry) is not dict:
+            raise ConfigError(f"{where}: expected an object, got {entry!r}")
         if entry.get("type") == "llm" or "provider" in entry:
-            spec = _parse_llm_predictor(entry, where, schema, run_defaults)
+            spec = _parse_llm_predictor(entry, where, schema, repeat_count)
         else:
-            name = str(_require(entry, "name", where))
-            kind = canonical_baseline_name(name)
-            if kind is None:
-                raise ConfigError(f"{where}: unknown predictor {name!r}")
-            defaults = hyperparameter_defaults(kind)
-            _checked_object(entry, where, {"name", *defaults})
-            hyper = {k: _typed(entry, f"{where}.{k}", defaults[k]) for k in entry if k != "name"}
-            try:
-                check_hyperparameters(kind, hyper)
-            except ValueError as exc:
-                raise ConfigError(f"{where}: {exc}") from exc
-            spec = BaselineSpec(name=name, kind=kind, hyper=hyper)
+            spec = _parse_baseline(entry, where)
         if spec.name in seen_names:
             raise ConfigError(f"{where}: duplicate predictor name {spec.name!r}")
         seen_names.add(spec.name)
-        predictors.append(spec)
-
-    output_dir = _typed(data, "output_dir", "runs")
+        specs.append(spec)
 
     return ExperimentConfig(
         dataset=dataset,
         test_size=test_size,
         split_seed=split_seed,
-        cleaning=cleaning,
-        llm_cleaning=llm_cleaning,
+        cleaning=CleaningPolicy(**cleaning),
+        llm_cleaning=replace(CleaningPolicy.tweet_cleaning(), **llm_cleaning),
         min_df=min_df,
         l2_normalize=l2_normalize,
-        predictors=tuple(predictors),
+        predictors=tuple(specs),
         output_dir=output_dir,
     )
 
@@ -373,15 +378,22 @@ class ExperimentResult:
         }
 
 
-def _build_provider(spec: LlmSpec, schema: LabelSchema):
+def _build_provider(spec: LlmSpec, schema: LabelSchema, where: str = "provider"):
     """The entry's provider, built from the provider object's own fields:
-    its constructor is the one place that checks and defaults them."""
+    they are read against its constructor, which defaults them and checks
+    their values. `where` locates the provider object in the config."""
     settings = {k: v for k, v in spec.provider.items() if k != "type"}
     if spec.provider["type"] == "mock":
-        return KeywordRuleProvider(schema, **settings)
-    if spec.provider["type"] == "http":
-        return HttpProvider(timeout_s=spec.run.timeout_s, **settings)
-    raise ValueError(f"unknown provider type {spec.provider['type']!r}")
+        provider_class, given = KeywordRuleProvider, {"schema": schema}
+    elif spec.provider["type"] == "http":
+        provider_class, given = HttpProvider, {"timeout_s": spec.run.timeout_s}
+    else:
+        raise ConfigError(f"{where}: unknown provider type {spec.provider['type']!r}")
+    _fields(provider_class, settings, where, given)
+    try:
+        return provider_class(**given, **settings)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _evaluate_llm_run(outcome, schema: LabelSchema, test_ids: list[int], y_test: list[int]):

@@ -48,13 +48,6 @@ class CleaningPolicy:
     def to_json_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CleaningPolicy":
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown cleaning policy flags: {sorted(unknown)}")
-        return cls(**data)
-
 
 def _load_stopwords() -> frozenset[str]:
     text = resources.files("zsbench").joinpath("data/stopwords.txt").read_text("utf-8")

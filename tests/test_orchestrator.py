@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import http.client
+import inspect
 import json
 import math
 import re
+from dataclasses import replace
 
 import pytest
 
 from conftest import fixture_experiment_config, mock_llm_predictor
-from zsbench import cli, orchestrator, preprocess
+from zsbench import baselines, cli, orchestrator, preprocess
+from zsbench.gateway import HttpProvider, KeywordRuleProvider, LlmRunConfig, TaskDescription
 from zsbench.gateway import classify as gateway_classify
-from zsbench.dataset import load_corpus
+from zsbench.dataset import LabelSchema, load_corpus
 from zsbench.orchestrator import (
     ConfigError,
     emit_report,
@@ -33,7 +36,44 @@ def http_llm_predictor(**provider_fields) -> dict:
     }
 
 
+# every object the config reader reads, and the parameters that are not read from the config
+READER_TARGETS = [
+    (orchestrator._experiment_config, ()),
+    (orchestrator._split, ()),
+    (orchestrator._features, ()),
+    (orchestrator.DatasetSpec, ()),
+    (LabelSchema, ()),
+    (preprocess.CleaningPolicy, ()),
+    (LlmRunConfig, ()),
+    (TaskDescription, ()),
+    (KeywordRuleProvider, ("schema",)),
+    (HttpProvider, ("timeout_s",)),
+    *((baselines.trainer(kind), orchestrator._TRAINER_INPUTS) for kind in baselines.DISPLAY_NAMES),
+]
+
+JSON_TYPE_NAMES = ("a string", "an integer", "a number", "true or false", "an object", "a list",
+                   "a list of strings")
+
+
 class TestValidateConfig:
+    @pytest.mark.parametrize(
+        "target, given", READER_TARGETS, ids=[t.__name__ for t, _ in READER_TARGETS]
+    )
+    def test_every_read_parameter_has_a_json_type(self, target, given):
+        # no JSON value is an object(), so each probe that fails must name the type it expected
+        expected = "|".join(map(re.escape, JSON_TYPE_NAMES))
+        for name, param in inspect.signature(target, eval_str=True).parameters.items():
+            if name in given:
+                continue
+            for probe in (object(), [object()], {"key": object()}):
+                try:
+                    orchestrator._check_type(probe, param.annotation, name)
+                except ConfigError as exc:
+                    assert re.fullmatch(rf"{name}(\['key'\])?: expected ({expected}), got .*",
+                                        str(exc)), str(exc)
+                else:
+                    assert type(probe) in (list, dict), (name, param.annotation)
+
     def test_minimal_config_gets_defaults(self, fixture_corpus_path, tmp_path):
         config = validate_config(minimal_config(fixture_corpus_path, tmp_path))
         assert config.test_size == 150
@@ -122,6 +162,8 @@ class TestValidateConfig:
             ({"name": "rf", "feature_subsample": "half"},
              "feature_subsample must be 'sqrt' or 'all', got 'half'"),
             ({"name": "dt", "max_depth": 0}, "max_depth must be >= 1, got 0"),
+            ({"name": "lg", "l2_lambda": -1.0}, "l2_lambda must be non-negative, got -1.0"),
+            ({"name": "lg", "l2_lambda": math.nan}, "l2_lambda must be non-negative, got nan"),
         ],
     )
     def test_out_of_range_hyperparameter_rejected(
@@ -147,10 +189,15 @@ class TestValidateConfig:
             fixture_corpus_path,
             tmp_path,
             predictors=[{"name": "rf", "n_trees": 10}, mock_llm_predictor()],
+            llm_cleaning={"apply_stemming": True, "remove_urls": False},
         )
         config = validate_config(raw)
+        assert config.llm_cleaning == replace(
+            preprocess.CleaningPolicy.tweet_cleaning(), apply_stemming=True, remove_urls=False
+        )
         rebuilt = validate_config(config.canonical_json())
         assert rebuilt.to_json_dict() == config.to_json_dict()
+        assert rebuilt.llm_cleaning == config.llm_cleaning
         assert rebuilt.config_hash() == config.config_hash()
 
     def test_not_json(self):
@@ -167,7 +214,10 @@ class TestValidateConfig:
             mock_llm_predictor(task=task),
             http_llm_predictor(api_key_env="EXAMPLE_API_KEY"),
         ]
-        raw = minimal_config(fixture_corpus_path, tmp_path, predictors, features={"min_df": 2})
+        raw = minimal_config(
+            fixture_corpus_path, tmp_path, predictors, features={"min_df": 2},
+            cleaning={"remove_digits": False}, llm_cleaning={"remove_stopwords": False},
+        )
         return json.loads(raw)
 
     @pytest.mark.parametrize(
@@ -178,13 +228,14 @@ class TestValidateConfig:
             (("dataset", "schema"), r"dataset\.schema", "label_order"),
             (("split",), r"split", "test_sise"),
             (("features",), r"features", "min_dff"),
+            (("cleaning",), r"cleaning", "remove_url"),
             (("predictors", 0), r"predictors\[0\]", "alfa"),
             (("predictors", 1), r"predictors\[1\]", "temprature"),
             (("predictors", 1, "provider"), r"predictors\[1\]\.provider", "default_lable"),
             (("predictors", 1, "task"), r"predictors\[1\]\.task", "subjekt"),
             (("predictors", 2, "provider"), r"predictors\[2\]\.provider", "api_key"),
         ],
-        ids=["top", "dataset", "schema", "split", "features", "baseline", "llm",
+        ids=["top", "dataset", "schema", "split", "features", "cleaning", "baseline", "llm",
              "mock-provider", "task", "http-provider"],
     )
     def test_unknown_field_rejected_with_location(
@@ -212,13 +263,31 @@ class TestValidateConfig:
             (("dataset", "schema", "labels"), [1, 2], r"dataset\.schema\.labels"),
             (("dataset", "path"), ["a"], r"dataset\.path"),
             (("predictors", 2, "provider", "endpoint"), 5,
-             r"predictors\[2\]\.provider: endpoint"),
+             r"predictors\[2\]\.provider\.endpoint"),
             (("predictors", 2, "provider", "endpoint"), "ftp://x",
              r"predictors\[2\]\.provider: endpoint"),
+            (("cleaning", "remove_urls"), "false", r"cleaning\.remove_urls"),
+            (("llm_cleaning", "apply_stemming"), 1, r"llm_cleaning\.apply_stemming"),
+            (("dataset", "schema", "task_name"), 5, r"dataset\.schema\.task_name"),
+            (("predictors", 1, "task", "subject"), 5, r"predictors\[1\]\.task\.subject"),
+            (("predictors", 1, "task", "venue"), None, r"predictors\[1\]\.task\.venue"),
+            (("predictors", 1, "batch_size"), 2.5, r"predictors\[1\]\.batch_size"),
+            (("predictors", 1, "repeat_count"), True, r"predictors\[1\]\.repeat_count"),
+            (("repeat_count",), True, r"repeat_count"),
+            (("predictors", 1, "request_seed"), "x", r"predictors\[1\]\.request_seed"),
+            (("predictors", 1, "temperature"), "0.5", r"predictors\[1\]\.temperature"),
+            (("predictors", 1, "provider", "noise"), "no", r"predictors\[1\]\.provider\.noise"),
+            (("predictors", 2, "provider", "api_key_env"), 5,
+             r"predictors\[2\]\.provider\.api_key_env"),
+            (("predictors", 1, "provider", "rules", "Books"), "xyz",
+             r"predictors\[1\]\.provider\.rules\['Books'\]"),
         ],
         ids=["list-seed", "list-text-field", "list-label-field", "string-l2-normalize",
              "bool-test-size", "bool-min-df", "string-labels", "int-labels", "list-path",
-             "int-endpoint", "ftp-endpoint"],
+             "int-endpoint", "ftp-endpoint", "string-cleaning-flag", "int-llm-cleaning-flag",
+             "int-task-name", "int-task-subject", "null-task-venue", "float-batch-size",
+             "bool-repeat-count", "bool-top-level-repeat-count", "string-request-seed",
+             "string-temperature", "string-noise", "int-api-key-env", "string-rule-keywords"],
     )
     def test_wrongly_typed_field_rejected_with_location(
         self, fixture_corpus_path, tmp_path, path, value, where
@@ -269,6 +338,8 @@ class TestValidateConfig:
         predictor = mock_llm_predictor(**{field: value})
         raw = minimal_config(fixture_corpus_path, tmp_path, predictors=[predictor])
         message = re.escape(f"predictors[0]: {field} must be {bound}, got {value!r}")
+        if type(value) is str:  # a value of the wrong JSON type is refused before its range
+            message = re.escape(f"predictors[0].{field}: expected an integer, got {value!r}")
         with pytest.raises(ConfigError, match=f"^{message}$"):
             validate_config(raw)
 
@@ -297,7 +368,7 @@ class TestValidateConfig:
         assert cli.main(["validate", str(config_path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: predictors[0]: batch_size must be positive, got '25'\n"
+        assert captured.err == "error: predictors[0].batch_size: expected an integer, got '25'\n"
 
     def test_cli_validate_reports_non_string_llm_name(self, fixture_corpus_path, tmp_path, capsys):
         config_path = tmp_path / "config.json"

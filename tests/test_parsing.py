@@ -135,12 +135,14 @@ class TestResolveLabels:
         assert parsed.diagnostics.missing_index == 1
 
     def test_unknown_label_not_guessed(self):
-        with pytest.raises(PayloadError) as exc_info:
-            resolve_labels('{"1":"Grocery"}', [1], self.schema)
-        partial = exc_info.value.partial
-        assert partial is not None
-        assert partial.resolved == {}
-        assert partial.diagnostics.unknown_label == 1
+        # nothing resolves: the diagnostics say why, and the parse is not counted unparseable
+        parsed = resolve_labels('{"1":"Grocery"}', [1], self.schema)
+        assert parsed.resolved == {}
+        assert parsed.diagnostics.to_json_dict() == {
+            "extraneous_text_stripped": 0, "missing_index": 1, "extra_index": 0,
+            "unknown_label": 1, "repaired_by_case_fold": 0, "unparseable": 0,
+        }
+        assert parse_classification('{"1":"Grocery"}', [1], self.schema) == parsed
 
     def test_not_an_object(self):
         with pytest.raises(PayloadError, match="not a JSON object"):

@@ -166,17 +166,3 @@ class TestAgainstOracle:
             for text in texts:
                 assert clean_text(text, policy) == clean_oracle.clean_text(text, policy)
             assert preprocess_corpus(texts, policy) == clean_oracle.preprocess_corpus(texts, policy)
-
-
-class TestPolicySerialization:
-    def test_round_trip(self):
-        policy = CleaningPolicy.tweet_cleaning()
-        assert CleaningPolicy.from_json_dict(policy.to_json_dict()) == policy
-
-    def test_unknown_flag_rejected(self):
-        try:
-            CleaningPolicy.from_json_dict({"remove_urls": True, "bogus": False})
-        except ValueError as exc:
-            assert "bogus" in str(exc)
-        else:
-            raise AssertionError("expected ValueError")
