@@ -6,13 +6,14 @@ everything else is imported from its submodule.
 
 from __future__ import annotations
 
-from .classify import AuditLog, classify_corpus, replay_audit
+from .classify import AuditLog, ClassificationPool, classify_corpus, replay_audit
 from .client import GatewayError, HttpProvider, LlmRunConfig
 from .mock import KeywordRuleProvider
 from .prompts import TaskDescription
 
 __all__ = [
     "AuditLog",
+    "ClassificationPool",
     "GatewayError",
     "HttpProvider",
     "KeywordRuleProvider",

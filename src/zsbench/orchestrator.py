@@ -30,6 +30,7 @@ from .dataset import CorpusError, LabeledCorpus, LabelSchema, load_corpus, strat
 from .features import fit_vectorizer
 from .gateway import (
     AuditLog,
+    ClassificationPool,
     HttpProvider,
     KeywordRuleProvider,
     LlmRunConfig,
@@ -186,6 +187,9 @@ _TRAINER_INPUTS = ("x", "labels", "schema")
 def _parse_llm_predictor(
     entry: dict, where: str, schema: LabelSchema, repeat_count: int
 ) -> LlmSpec:
+    # an entry with a provider is an llm entry; any other type is a typo
+    if entry.get("type", "llm") != "llm":
+        raise ConfigError(f'{where}.type: expected "llm", got {entry["type"]!r}')
     provider = entry.get("provider")
     if type(provider) is not dict or "type" not in provider:
         raise ConfigError(f"{where}.provider: expected an object with a 'type'")
@@ -456,35 +460,32 @@ def _run_llm_variant(
 ) -> PredictorResult:
     result = PredictorResult(name=entry_name, category="llm")
     provider = _build_provider(spec, corpus.schema)
-    audit = AuditLog(run_dir / "audit" / f"{entry_name}.jsonl")
     texts = [corpus.texts[i] for i in test_ids]
     if variant == "clean":  # once per entry: every repeat and re-ask sends the same text
         texts = [clean_for_prompt(text, config.llm_cleaning) for text in texts]
     items = list(zip(test_ids, texts))
 
     diagnostics_per_run = []
+    audit = AuditLog(run_dir / "audit" / f"{entry_name}.jsonl")
     try:
-        for repeat in range(spec.run.repeat_count):
-            outcome = classify_corpus(
-                items,
-                corpus.schema,
-                spec.task,
-                spec.run,
-                provider,
-                audit=audit,
-                audit_meta={"predictor": entry_name, "variant": variant, "repeat": repeat},
-            )
-            result.runs.append(_evaluate_llm_run(outcome, corpus.schema, test_ids, y_test))
-            diagnostics_per_run.append(
-                {
-                    "n_requests": outcome.n_requests,
-                    "n_reasks": outcome.n_reasks,
-                    "n_invalid": len(outcome.invalid_ids),
-                    **outcome.diagnostics.to_json_dict(),
-                }
-            )
+        with ClassificationPool(
+            items, corpus.schema, spec.task, spec.run, provider,
+            audit=audit, audit_meta={"predictor": entry_name, "variant": variant},
+        ) as pool:
+            for repeat in range(spec.run.repeat_count):
+                outcome = classify_corpus(pool, repeat)
+                result.runs.append(_evaluate_llm_run(outcome, corpus.schema, test_ids, y_test))
+                diagnostics_per_run.append(
+                    {
+                        "n_requests": outcome.n_requests,
+                        "n_reasks": outcome.n_reasks,
+                        "n_invalid": len(outcome.invalid_ids),
+                        **outcome.diagnostics.to_json_dict(),
+                    }
+                )
     finally:
-        # the repeats finished, failed or were interrupted: no request is in flight
+        # leaving the pool waited for the requests in flight
+        audit.close()
         if isinstance(provider, HttpProvider):
             provider.close()
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,15 @@ class ScriptedProvider:
         if isinstance(entry, Exception):
             raise entry
         return entry, {"model": "scripted", "usage": {}}
+
+
+@pytest.fixture
+def sigint_raises():
+    """SIGINT raises KeyboardInterrupt for the test's duration, also in a
+    process that inherited it ignored, as a job started with `&` does."""
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    yield
+    signal.signal(signal.SIGINT, previous)
 
 
 @pytest.fixture

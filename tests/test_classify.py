@@ -11,6 +11,7 @@ import pytest
 from zsbench.gateway.classify import (
     AuditLog,
     ClassificationAborted,
+    ClassificationPool,
     classify_corpus,
     replay_audit,
 )
@@ -19,11 +20,19 @@ from zsbench.gateway.mock import KeywordRuleProvider
 from conftest import ECOMMERCE_TASK, FIXTURE_DEFAULT_LABEL, FIXTURE_RULES, ScriptedProvider
 
 FAST = dict(backoff_base_s=0.001)
+ONCE = dict(FAST, repeat_count=1)
 
 
 def make_docs(texts: list[str]) -> list[tuple[int, str]]:
     """(doc id, text) pairs with ids 0..N-1."""
     return list(enumerate(texts))
+
+
+def classify_once(docs, schema, config, provider, audit=None):
+    """The outcome of an entry whose config asks for a single repeat."""
+    assert config.repeat_count == 1
+    with ClassificationPool(docs, schema, ECOMMERCE_TASK, config, provider, audit=audit) as pool:
+        return classify_corpus(pool, 0)
 
 
 class TestBatching:
@@ -32,8 +41,8 @@ class TestBatching:
         provider = KeywordRuleProvider(
             ecommerce_schema, FIXTURE_RULES, FIXTURE_DEFAULT_LABEL
         )
-        config = LlmRunConfig(model="mock", batch_size=25, **FAST)
-        outcome = classify_corpus(docs, ecommerce_schema, ECOMMERCE_TASK, config, provider)
+        config = LlmRunConfig(model="mock", batch_size=25, **ONCE)
+        outcome = classify_once(docs, ecommerce_schema, config, provider)
         assert provider.calls == 6
         assert outcome.n_requests == 6
         assert outcome.doc_ids == tuple(range(150))
@@ -45,8 +54,8 @@ class TestBatching:
         provider = KeywordRuleProvider(
             ecommerce_schema, FIXTURE_RULES, FIXTURE_DEFAULT_LABEL
         )
-        config = LlmRunConfig(model="mock", batch_size=25, **FAST)
-        outcome = classify_corpus(docs, ecommerce_schema, ECOMMERCE_TASK, config, provider)
+        config = LlmRunConfig(model="mock", batch_size=25, **ONCE)
+        outcome = classify_once(docs, ecommerce_schema, config, provider)
         assert provider.calls == 1
         assert outcome.resolved == {0: "Books", 1: "Electronics", 2: "Clothing & Accessories"}
 
@@ -75,8 +84,8 @@ class TestMockAccuracyOracle:
         ]
         docs = make_docs(texts)
         provider = KeywordRuleProvider(ecommerce_schema, FIXTURE_RULES, FIXTURE_DEFAULT_LABEL)
-        config = LlmRunConfig(model="mock", batch_size=3, **FAST)
-        outcome = classify_corpus(docs, ecommerce_schema, ECOMMERCE_TASK, config, provider)
+        config = LlmRunConfig(model="mock", batch_size=3, **ONCE)
+        outcome = classify_once(docs, ecommerce_schema, config, provider)
 
         # oracle: apply the keyword rule directly to each document
         expected_correct = 0
@@ -108,8 +117,8 @@ class TestReAskAndFallback:
                 '{"1": "Books"}',
             ]
         )
-        config = LlmRunConfig(model="m", batch_size=25, **FAST)
-        outcome = classify_corpus(docs, ecommerce_schema, ECOMMERCE_TASK, config, provider)
+        config = LlmRunConfig(model="m", batch_size=25, **ONCE)
+        outcome = classify_once(docs, ecommerce_schema, config, provider)
         assert outcome.n_reasks == 1
         assert outcome.resolved == {
             0: "Electronics",
@@ -125,8 +134,8 @@ class TestReAskAndFallback:
         provider = ScriptedProvider(
             ['{"0": "Electronics", "1": "Grocery"}', '{"1": "StillWrong"}']
         )
-        config = LlmRunConfig(model="m", **FAST)
-        outcome = classify_corpus(docs, ecommerce_schema, ECOMMERCE_TASK, config, provider)
+        config = LlmRunConfig(model="m", **ONCE)
+        outcome = classify_once(docs, ecommerce_schema, config, provider)
         assert outcome.resolved == {0: "Electronics"}
         assert outcome.invalid_ids == [1]
         assert outcome.diagnostics.missing_index == 1
@@ -135,8 +144,8 @@ class TestReAskAndFallback:
     def test_blank_documents_invalid_without_a_request(self, ecommerce_schema):
         docs = make_docs(["usb hub", "   ", "a novel", ""])
         provider = ScriptedProvider(['{"0": "Electronics", "2": "Books"}'])
-        config = LlmRunConfig(model="m", batch_size=2, **FAST)
-        outcome = classify_corpus(docs, ecommerce_schema, ECOMMERCE_TASK, config, provider)
+        config = LlmRunConfig(model="m", batch_size=2, **ONCE)
+        outcome = classify_once(docs, ecommerce_schema, config, provider)
         assert provider.calls == 1
         assert provider.bodies[0]["messages"][1]["content"] == "0. usb hub\n2. a novel"
         assert outcome.doc_ids == (0, 1, 2, 3)
@@ -145,9 +154,9 @@ class TestReAskAndFallback:
 
     def test_all_blank_documents_send_nothing(self, ecommerce_schema):
         provider = ScriptedProvider([])
-        config = LlmRunConfig(model="m", **FAST)
+        config = LlmRunConfig(model="m", **ONCE)
         docs = make_docs(["", " "])
-        outcome = classify_corpus(docs, ecommerce_schema, ECOMMERCE_TASK, config, provider)
+        outcome = classify_once(docs, ecommerce_schema, config, provider)
         assert provider.calls == 0
         assert outcome.invalid_ids == [0, 1]
         assert (outcome.n_requests, outcome.n_reasks) == (0, 0)
@@ -155,9 +164,9 @@ class TestReAskAndFallback:
     def test_provider_failure_aborts(self, ecommerce_schema):
         docs = make_docs(["usb hub"])
         provider = ScriptedProvider([ProviderError("HTTP 500", retryable=True)] * 5)
-        config = LlmRunConfig(model="m", max_retries=1, **FAST)
+        config = LlmRunConfig(model="m", max_retries=1, **ONCE)
         with pytest.raises(ClassificationAborted):
-            classify_corpus(docs, ecommerce_schema, ECOMMERCE_TASK, config, provider)
+            classify_once(docs, ecommerce_schema, config, provider)
 
     @pytest.mark.parametrize("concurrency", [2, 8])
     def test_permanent_failure_stops_further_requests(self, ecommerce_schema, concurrency):
@@ -173,40 +182,64 @@ class TestReAskAndFallback:
 
         docs = make_docs([f"usb item {i}" for i in range(40)])
         provider = RejectingProvider()
-        config = LlmRunConfig(model="m", batch_size=2, concurrency=concurrency, **FAST)
+        config = LlmRunConfig(model="m", batch_size=2, concurrency=concurrency, **ONCE)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the workers as often as possible
         try:
             with pytest.raises(ClassificationAborted, match=r"^aborted after 0/20 batches: bad key$"):
-                classify_corpus(docs, ecommerce_schema, ECOMMERCE_TASK, config, provider)
+                classify_once(docs, ecommerce_schema, config, provider)
         finally:
             sys.setswitchinterval(interval)
         assert 1 <= provider.calls <= 2 * concurrency
 
-    def test_keyboard_interrupt_stops_further_requests(self, ecommerce_schema):
-        rules = KeywordRuleProvider(ecommerce_schema, FIXTURE_RULES, FIXTURE_DEFAULT_LABEL)
-        calls = 0
+    @staticmethod
+    def interrupting_provider(schema):
+        """(provider, call counter): answers by keyword after 50 ms; its 3rd
+        call raises Ctrl-C in the main thread."""
+        rules = KeywordRuleProvider(schema, FIXTURE_RULES, FIXTURE_DEFAULT_LABEL)
+        calls = [0]
         lock = threading.Lock()
 
         class InterruptingProvider:
-            """Answers by keyword after 50 ms; its 3rd call raises Ctrl-C in the caller."""
-
             def complete(self, body):
-                nonlocal calls
                 with lock:
-                    calls += 1
-                    interrupt = calls == 3
+                    calls[0] += 1
+                    interrupt = calls[0] == 3
                 if interrupt:
                     _thread.interrupt_main()
                 time.sleep(0.05)
                 return rules.complete(body)
 
+        return InterruptingProvider(), calls
+
+    def test_keyboard_interrupt_stops_further_requests(self, ecommerce_schema, sigint_raises):
+        provider, calls = self.interrupting_provider(ecommerce_schema)
         docs = make_docs([f"usb item {i}" for i in range(40)])
-        config = LlmRunConfig(model="m", batch_size=1, concurrency=2, **FAST)
+        config = LlmRunConfig(model="m", batch_size=1, concurrency=2, **ONCE)
         with pytest.raises(KeyboardInterrupt):
-            classify_corpus(docs, ecommerce_schema, ECOMMERCE_TASK, config, InterruptingProvider())
+            classify_once(docs, ecommerce_schema, config, provider)
         # only the batches in flight when the interrupt landed may send more
-        assert 3 <= calls <= 3 + 2 * config.concurrency
+        assert 3 <= calls[0] <= 3 + 2 * config.concurrency
+
+    def test_keyboard_interrupt_stops_later_repeats(
+        self, tmp_path, ecommerce_schema, sigint_raises
+    ):
+        provider, calls = self.interrupting_provider(ecommerce_schema)
+        docs = make_docs([f"usb item {i}" for i in range(40)])
+        config = LlmRunConfig(model="m", batch_size=1, concurrency=2, repeat_count=3, **FAST)
+        audit = AuditLog(tmp_path / "audit.jsonl")
+        with pytest.raises(KeyboardInterrupt):
+            with ClassificationPool(
+                docs, ecommerce_schema, ECOMMERCE_TASK, config, provider, audit=audit
+            ) as pool:
+                for repeat in range(config.repeat_count):
+                    classify_corpus(pool, repeat)
+        audit.close()
+        assert 3 <= calls[0] <= 3 + 2 * config.concurrency
+        # every request sent belongs to repeat 0, the one interrupted
+        records = [record for record, _ in replay_audit(audit.path, ecommerce_schema)]
+        assert len(records) == calls[0]
+        assert {record["repeat"] for record in records} == {0}
 
 
 class TestAuditLog:
@@ -216,11 +249,9 @@ class TestAuditLog:
             ecommerce_schema, FIXTURE_RULES, FIXTURE_DEFAULT_LABEL, noise=True
         )
         audit = AuditLog(tmp_path / "audit.jsonl")
-        config = LlmRunConfig(model="mock", batch_size=3, **FAST)
-        classify_corpus(
-            docs, ecommerce_schema, ECOMMERCE_TASK, config, provider,
-            audit=audit, audit_meta={"repeat": 0},
-        )
+        config = LlmRunConfig(model="mock", batch_size=3, **ONCE)
+        classify_once(docs, ecommerce_schema, config, provider, audit=audit)
+        audit.close()
         records = list(replay_audit(tmp_path / "audit.jsonl", ecommerce_schema))
         assert len(records) == 3  # ceil(7 / 3) batches, no re-asks
         for record, reparsed in records:
@@ -234,10 +265,9 @@ class TestAuditLog:
         docs = make_docs(["usb hub", "mystery item"])
         provider = ScriptedProvider(['{"0": "Electronics"}', '{"1": "Books"}'])
         audit = AuditLog(tmp_path / "audit.jsonl")
-        config = LlmRunConfig(model="m", **FAST)
-        classify_corpus(
-            docs, ecommerce_schema, ECOMMERCE_TASK, config, provider, audit=audit
-        )
+        config = LlmRunConfig(model="m", **ONCE)
+        classify_once(docs, ecommerce_schema, config, provider, audit=audit)
+        audit.close()
         lines = (tmp_path / "audit.jsonl").read_text().splitlines()
         assert len(lines) == 2
         phases = {json.loads(line)["phase"] for line in lines}
@@ -252,11 +282,12 @@ class TestAuditLog:
                 return text, {**meta, "usage": usage}
 
         audit = AuditLog(tmp_path / "audit.jsonl")
-        classify_corpus(
-            make_docs(["usb hub"]), ecommerce_schema, ECOMMERCE_TASK,
-            LlmRunConfig(model="m", **FAST), MeteredProvider(['{"0": "Electronics"}']),
+        classify_once(
+            make_docs(["usb hub"]), ecommerce_schema,
+            LlmRunConfig(model="m", **ONCE), MeteredProvider(['{"0": "Electronics"}']),
             audit=audit,
         )
+        audit.close()
         [(record, reparsed)] = replay_audit(tmp_path / "audit.jsonl", ecommerce_schema)
         assert record["response"]["token_usage"] == usage
         assert reparsed.resolved == {0: "Electronics"}
@@ -270,9 +301,128 @@ class TestConcurrency:
             provider = KeywordRuleProvider(
                 ecommerce_schema, FIXTURE_RULES, FIXTURE_DEFAULT_LABEL
             )
-            config = LlmRunConfig(model="m", batch_size=7, concurrency=workers, **FAST)
-            outcome = classify_corpus(
-                docs, ecommerce_schema, ECOMMERCE_TASK, config, provider
-            )
+            config = LlmRunConfig(model="m", batch_size=7, concurrency=workers, **ONCE)
+            outcome = classify_once(docs, ecommerce_schema, config, provider)
             outcomes.append(outcome.resolved)
         assert outcomes[0] == outcomes[1]
+
+
+class TestEntryPool:
+    """One pool of `concurrency` workers serves every repeat of an entry."""
+
+    def test_next_repeat_starts_before_the_last_batch_returns(self, ecommerce_schema):
+        rules = KeywordRuleProvider(ecommerce_schema, FIXTURE_RULES, FIXTURE_DEFAULT_LABEL)
+        lock = threading.Lock()
+        sightings: dict[str, int] = {}
+        in_flight, peak = [0], [0]
+        next_repeat_started = threading.Event()
+        overlapped = []
+
+        class TailProvider:
+            """Holds repeat 0's last batch until repeat 1's first batch arrives."""
+
+            def complete(self, body):
+                prompt = body["messages"][1]["content"]
+                with lock:
+                    sightings[prompt] = seen = sightings.get(prompt, 0) + 1
+                    in_flight[0] += 1
+                    peak[0] = max(peak[0], in_flight[0])
+                try:
+                    if prompt == "1. a novel" and seen == 1:
+                        overlapped.append(next_repeat_started.wait(timeout=10))
+                    elif prompt == "0. usb hub" and seen == 2:
+                        next_repeat_started.set()
+                    return rules.complete(body)
+                finally:
+                    with lock:
+                        in_flight[0] -= 1
+
+        docs = make_docs(["usb hub", "a novel"])
+        config = LlmRunConfig(model="m", batch_size=1, concurrency=2, repeat_count=3, **FAST)
+        provider = TailProvider()
+        with ClassificationPool(docs, ecommerce_schema, ECOMMERCE_TASK, config, provider) as pool:
+            outcomes = [classify_corpus(pool, repeat) for repeat in range(3)]
+        assert overlapped == [True]
+        assert peak[0] == config.concurrency
+        assert [o.resolved for o in outcomes] == [{0: "Electronics", 1: "Books"}] * 3
+        assert [o.n_requests for o in outcomes] == [2, 2, 2]
+
+    def test_every_batch_of_every_repeat_is_counted_once(self, ecommerce_schema):
+        rules = KeywordRuleProvider(ecommerce_schema, FIXTURE_RULES, FIXTURE_DEFAULT_LABEL)
+        lock = threading.Lock()
+        calls = [0]
+
+        class CountingProvider:
+            def complete(self, body):
+                with lock:
+                    calls[0] += 1
+                return rules.complete(body)
+
+        docs = make_docs([f"usb item {i}" for i in range(60)])
+        # more workers than cores, switching as often as possible
+        config = LlmRunConfig(model="m", batch_size=1, concurrency=8, repeat_count=5, **FAST)
+        outcomes = []
+
+        def consume():
+            pool = ClassificationPool(
+                docs, ecommerce_schema, ECOMMERCE_TASK, config, CountingProvider()
+            )
+            with pool:
+                outcomes.extend(classify_corpus(pool, r) for r in range(config.repeat_count))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # a lost update of a repeat's count of batches left would hang its wait
+            consumer = threading.Thread(target=consume, daemon=True)
+            consumer.start()
+            consumer.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not consumer.is_alive()
+        assert calls[0] == 5 * 60
+        assert [o.n_requests for o in outcomes] == [60] * 5
+        assert all(o.resolved == {i: "Electronics" for i in range(60)} for o in outcomes)
+
+    @pytest.mark.parametrize("concurrency", [2, 4])
+    def test_failure_in_a_later_repeat_aborts_the_entry(self, ecommerce_schema, concurrency):
+        rules = KeywordRuleProvider(ecommerce_schema, FIXTURE_RULES, FIXTURE_DEFAULT_LABEL)
+        lock = threading.Lock()
+        sightings: dict[str, int] = {}
+        calls, calls_at_failure = [0], []
+
+        class RepeatTwoRejectingProvider:
+            """Rejects the key on the first batch of repeat 2, its 3rd sighting."""
+
+            def complete(self, body):
+                prompt = body["messages"][1]["content"]
+                with lock:
+                    calls[0] += 1
+                    sightings[prompt] = seen = sightings.get(prompt, 0) + 1
+                    reject = prompt.startswith("0. ") and seen == 3
+                    if reject:
+                        calls_at_failure.append(calls[0])
+                if reject:
+                    raise AuthenticationError("bad key")
+                return rules.complete(body)
+
+        docs = make_docs([f"usb item {i}" for i in range(10)])
+        config = LlmRunConfig(
+            model="m", batch_size=2, concurrency=concurrency, repeat_count=4, **FAST
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the workers as often as possible
+        try:
+            # the counts are batches of the whole entry: 4 repeats of 5
+            aborted = r"^aborted after \d+/20 batches: bad key$"
+            with pytest.raises(ClassificationAborted, match=aborted):
+                with ClassificationPool(
+                    docs, ecommerce_schema, ECOMMERCE_TASK, config, RepeatTwoRejectingProvider()
+                ) as pool:
+                    for repeat in range(config.repeat_count):
+                        classify_corpus(pool, repeat)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls_at_failure) == 1
+        # only the batches in flight when the failure landed may send more
+        assert calls[0] - calls_at_failure[0] <= concurrency

@@ -15,7 +15,7 @@ import pytest
 
 from zsbench import __version__, orchestrator
 from zsbench.gateway import client
-from zsbench.gateway.classify import classify_corpus
+from zsbench.gateway.classify import ClassificationPool, classify_corpus
 from zsbench.gateway.client import (
     AuthenticationError,
     HttpProvider,
@@ -465,9 +465,10 @@ class TestSessions:
         endpoint = local_endpoint()
         provider = HttpProvider(endpoint.url, api_key_env="TEST_API_KEY")
         docs = [(i, f"item {i}") for i in range(8)]
-        config = LlmRunConfig(model="m", batch_size=2, concurrency=2, **FAST)
-        for _ in range(5):
-            classify_corpus(docs, ecommerce_schema, ECOMMERCE_TASK, config, provider)
+        config = LlmRunConfig(model="m", batch_size=2, concurrency=2, repeat_count=5, **FAST)
+        with ClassificationPool(docs, ecommerce_schema, ECOMMERCE_TASK, config, provider) as pool:
+            for repeat in range(config.repeat_count):
+                classify_corpus(pool, repeat)
         assert endpoint.requests >= 20
         assert 1 <= endpoint.connections <= 2
         provider.close()
@@ -487,7 +488,7 @@ class TestSessions:
 class TestProviderLifecycle:
     @pytest.mark.parametrize("outcome", ["finished", "failed", "interrupted"])
     def test_entry_closes_its_pooled_connections(
-        self, local_endpoint, monkeypatch, tmp_path, outcome
+        self, local_endpoint, monkeypatch, tmp_path, outcome, sigint_raises
     ):
         endpoint = local_endpoint([(401, None)] if outcome == "failed" else ())
         if outcome == "interrupted":

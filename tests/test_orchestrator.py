@@ -5,11 +5,14 @@ import inspect
 import json
 import math
 import re
+import threading
+import time
 from dataclasses import replace
 
 import pytest
 
 from conftest import fixture_experiment_config, mock_llm_predictor
+from test_tracer_hooks import load_tracing
 from zsbench import baselines, cli, orchestrator, preprocess
 from zsbench.gateway import HttpProvider, KeywordRuleProvider, LlmRunConfig, TaskDescription
 from zsbench.gateway import classify as gateway_classify
@@ -85,6 +88,21 @@ class TestValidateConfig:
         raw = minimal_config(fixture_corpus_path, tmp_path, predictors=[{"name": "SVM"}])
         with pytest.raises(ConfigError, match="unknown predictor 'SVM'"):
             validate_config(raw)
+
+    @pytest.mark.parametrize("value", ["banana", 5, None, "LLM"])
+    def test_llm_entry_of_another_type_rejected(self, fixture_corpus_path, tmp_path, value):
+        raw = minimal_config(
+            fixture_corpus_path, tmp_path, predictors=[mock_llm_predictor(type=value)]
+        )
+        expected = f'predictors[0].type: expected "llm", got {value!r}'
+        with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
+            validate_config(raw)
+
+    def test_llm_entry_may_leave_out_its_type(self, fixture_corpus_path, tmp_path):
+        entry = mock_llm_predictor()
+        del entry["type"]
+        config = validate_config(minimal_config(fixture_corpus_path, tmp_path, predictors=[entry]))
+        assert config.to_json_dict()["predictors"][0]["type"] == "llm"
 
     def test_llm_defaults_match_protocol(self, fixture_corpus_path, tmp_path):
         raw = minimal_config(
@@ -563,6 +581,45 @@ class TestRunExperiment:
         # a gold-alpha document lands in column 1 (beta), any other in column 0
         assert report.confusion.counts == ((4, 2, 0), (2, 4, 0), (2, 0, 4))
         assert report.n_invalid_predictions == 6
+
+    def test_tracer_reads_every_repeat_of_a_pooled_entry(
+        self, fixture_corpus_path, tmp_path, monkeypatch
+    ):
+        answer = KeywordRuleProvider.complete
+
+        def forgetful(self, body):
+            """Leaves out the last document of a prompt when its id is odd,
+            so some batches need a re-ask and some documents stay invalid."""
+            text, meta = answer(self, body)
+            labels = json.loads(text)
+            if int(max(labels, key=int)) % 2:
+                del labels[max(labels, key=int)]
+            return json.dumps(labels), meta
+
+        monkeypatch.setattr(KeywordRuleProvider, "complete", forgetful)
+        raw = minimal_config(
+            fixture_corpus_path, tmp_path, predictors=[mock_llm_predictor(repeat_count=3)]
+        )
+        config = validate_config(raw)
+        tracer = load_tracing().Tracer()
+        with tracer:
+            start = time.perf_counter()
+            result = run_experiment(config, run_id="traced")
+            run_s = time.perf_counter() - start
+        main = threading.get_ident()
+        summary = tracer.summary(run_s, main)
+
+        spans = [span for span in tracer.spans if span["name"] == "gateway.classify"]
+        assert len(spans) == 3
+        assert all(span["thread"] == main for span in spans)
+        per_run = result.predictors["mock-llm"].diagnostics["per_run"]
+        requests = sum(run["n_requests"] for run in per_run)
+        reasks = sum(run["n_reasks"] for run in per_run)
+        invalid = sum(run["n_invalid"] for run in per_run)
+        assert reasks > 0 and invalid > 0
+        assert summary["gateway.classify.reask_ratio"] == reasks / (requests - reasks)
+        assert summary["gateway.classify.invalid_frac"] == invalid / (3 * len(result.test_ids))
+        assert summary["gateway.client.requests"] == requests
 
     def test_llm_only_roster_builds_no_features(self, fixture_corpus_path, tmp_path, monkeypatch):
         preprocessed = self._count_calls(monkeypatch, "preprocess_corpus")
