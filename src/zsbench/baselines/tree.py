@@ -20,14 +20,17 @@ the same candidates and grows the same tree. A step takes the next node of
 every tree and scores them together with `splitter.best_splits`, at most
 `_SEARCH_NODES` per search. The trees' rows are laid end to end in one
 array and a node is a range of it, which a split partitions in place.
-Prediction routes rows by scattering the chosen feature's column into a
-dense vector.
+
+A forest is one set of node arrays (feature, threshold, left, n_samples
+and value), not an object per node. Node t is tree t's root; children are
+made in pairs, so a right child is `left + 1`, and each search batch
+appends one block of them. Prediction routes rows tree by tree, node by
+node, by scattering the node's feature column into a dense vector.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -35,20 +38,6 @@ from scipy import sparse
 from ..dataset import LabelSchema
 from .common import TrainingError, check_training_input, normalize_rows
 from .splitter import best_splits, concat_ranges, sort_columns
-
-
-@dataclass(slots=True)
-class TreeNode:
-    distribution: np.ndarray  # class frequencies at this node, normalized
-    n_samples: int
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
 
 
 def _csc(x: sparse.csr_matrix) -> sparse.csc_matrix:
@@ -66,32 +55,17 @@ def _column(xc: sparse.csc_matrix, feature: int) -> np.ndarray:
     return col
 
 
-def leaf_distributions(root: TreeNode, xc: sparse.csc_matrix) -> np.ndarray:
-    """Distribution of the leaf each row of xc lands in, one row per input row."""
-    out = np.empty((xc.shape[0], len(root.distribution)))
-    pending = [(root, np.arange(xc.shape[0]))]
-    while pending:
-        node, rows = pending.pop()
-        if node.is_leaf:
-            out[rows] = node.distribution
-            continue
-        left = _column(xc, node.feature)[rows] <= node.threshold
-        pending += [(node.left, rows[left]), (node.right, rows[~left])]
-    return out
-
-
 # nodes scored by one split search; bounds the search's temporaries
 _SEARCH_NODES = 25
 
 
 def _new_nodes(counts: np.ndarray, depth: np.ndarray, max_depth: int, min_leaf: int):
-    """One TreeNode per row of class counts, with its gini and whether it may split."""
+    """Distribution, sample count, gini and whether it may split, of each row of class counts."""
     n = counts.sum(axis=1)
     distribution = counts / n[:, None]
     gini = 1.0 - (distribution * distribution).sum(axis=1)
-    nodes = [TreeNode(d, k) for d, k in zip(distribution, n.astype(int).tolist())]
     may_split = (depth < max_depth) & (gini != 0.0) & (n >= 2 * min_leaf)
-    return nodes, gini, may_split
+    return distribution, n, gini, may_split
 
 
 def _grow_forest(
@@ -102,8 +76,9 @@ def _grow_forest(
     max_depth: int,
     min_leaf: int,
     pickers: list,
-) -> list[TreeNode]:
-    """Grow one tree per (rows, weights) sample, all trees in lockstep; the roots.
+) -> tuple[np.ndarray, ...]:
+    """Grow one tree per (rows, weights) sample, all trees in lockstep; the
+    forest's node arrays (feature, threshold, left, n_samples, value).
 
     A split partitions its node's range of `rows` into its left then its
     right rows. Each tree keeps a depth-first stack of the nodes it may still
@@ -117,19 +92,19 @@ def _grow_forest(
     ])
     rows, weights = np.concatenate(tree_rows), np.concatenate(tree_weights)
     del tree_rows, tree_weights
-    roots, gini, may_split = _new_nodes(counts, np.zeros(len(counts)), max_depth, min_leaf)
+    value, n, gini, may_split = _new_nodes(counts, np.zeros(len(counts)), max_depth, min_leaf)
+    # node t is tree t's root; each search batch adds a block of child nodes
+    # and a record (parents, feature, threshold, first child)
+    n_nodes, values, sizes, records = len(counts), [value], [n], []
     # a stack entry: (node, start, end, depth, gini, class counts)
     stacks = [
-        [(roots[t], bounds[t], bounds[t + 1], 0, gini[t], counts[t])] if may_split[t] else []
-        for t in range(len(roots))
+        [(t, bounds[t], bounds[t + 1], 0, gini[t], counts[t])] if may_split[t] else []
+        for t in range(n_nodes)
     ]
     xs = sort_columns(xc)
     slot = np.zeros(xc.shape[0], dtype=np.intp)
 
-    while True:
-        current = [(t, stack.pop()) for t, stack in enumerate(stacks) if stack]
-        if not current:
-            return roots
+    while current := [(t, stack.pop()) for t, stack in enumerate(stacks) if stack]:
         for first in range(0, len(current), _SEARCH_NODES):
             trees, entries = zip(*current[first : first + _SEARCH_NODES])
             nodes, *fields = zip(*entries)
@@ -152,38 +127,67 @@ def _grow_forest(
             rows[index], weights[index] = rows[index[order]], weights[index[order]]
             middle = start[split] + np.add.reduceat(goes_left, row_ptr[:-1], dtype=np.intp)[split]
 
+            # the i-th split node's children are nodes n_nodes + 2i and n_nodes + 2i + 1
             child_counts = np.empty((2 * len(split), n_classes))
             child_counts[0::2], child_counts[1::2] = left, counts[split] - left
-            children, child_gini, child_may_split = _new_nodes(
+            value, n, child_gini, child_may_split = _new_nodes(
                 child_counts, np.repeat(depth[split] + 1, 2), max_depth, min_leaf
             )
-            for i, (j, f, t, m) in enumerate(
-                zip(split.tolist(), feature.tolist(), threshold.tolist(), middle.tolist())
-            ):
-                node = nodes[j]
-                node.feature, node.threshold = f, t
-                node.left, node.right = children[2 * i], children[2 * i + 1]
+            values.append(value)
+            sizes.append(n)
+            records.append((np.take(nodes, split), feature, threshold, n_nodes))
+            for i, (j, m) in enumerate(zip(split.tolist(), middle.tolist())):
                 # right first, so the tree grows the left subtree first
                 for c, lo, hi in ((2 * i + 1, m, end[j]), (2 * i, start[j], m)):
                     if child_may_split[c]:
                         stacks[trees[j]].append(
-                            (children[c], lo, hi, depth[j] + 1, child_gini[c], child_counts[c])
+                            (n_nodes + c, lo, hi, depth[j] + 1, child_gini[c], child_counts[c])
                         )
+            n_nodes += 2 * len(split)
+
+    feature = np.full(n_nodes, -1, dtype=np.int32)
+    threshold = np.zeros(n_nodes)
+    left = np.zeros(n_nodes, dtype=np.int32)
+    for parents, f, t, first in records:
+        feature[parents], threshold[parents] = f, t
+        left[parents] = np.arange(first, first + 2 * len(parents), 2)
+    return feature, threshold, left, np.concatenate(sizes).astype(np.int32), np.concatenate(values)
 
 
 class ForestModel:
-    """CART trees whose leaf distributions are averaged; DT is the one-tree case."""
+    """CART trees whose leaf distributions are averaged; DT is the one-tree case.
 
-    def __init__(self, schema: LabelSchema, trees: list[TreeNode]):
-        self.schema = schema
-        self.trees = trees
+    Inner node i sends a row to node left[i] when its feature[i] value is
+    <= threshold[i], else to left[i] + 1; feature[i] is -1 at a leaf. value[i]
+    is node i's class distribution, n_samples[i] its bootstrap-weighted rows.
+    """
+
+    def __init__(self, schema: LabelSchema, n_trees, feature, threshold, left, n_samples, value):
+        self.schema, self.n_trees = schema, n_trees
+        self.feature, self.threshold, self.left = feature, threshold, left
+        self.n_samples, self.value = n_samples, value
+
+    def _leaf_distributions(self, tree: int, xc: sparse.csc_matrix) -> np.ndarray:
+        """Distribution of the leaf of `tree` each row of xc lands in, one row per input row."""
+        out = np.empty((xc.shape[0], self.value.shape[1]))
+        pending = [(tree, np.arange(xc.shape[0]))]
+        while pending:
+            node, rows = pending.pop()
+            feature = self.feature[node]
+            if feature < 0:
+                out[rows] = self.value[node]
+                continue
+            left = _column(xc, feature)[rows] <= self.threshold[node]
+            child = self.left[node]
+            pending += [(child, rows[left]), (child + 1, rows[~left])]
+        return out
 
     def predict_proba(self, x: sparse.csr_matrix) -> np.ndarray:
         xc = _csc(x)
         total = np.zeros((xc.shape[0], len(self.schema)))
-        for root in self.trees:
-            total += leaf_distributions(root, xc)
-        return normalize_rows(total / len(self.trees))
+        for tree in range(self.n_trees):
+            total += self._leaf_distributions(tree, xc)
+        return normalize_rows(total / self.n_trees)
 
 
 def check_hyperparameters(
@@ -237,8 +241,8 @@ def train_rf(
         pickers = [lambda rng=rng: np.sort(rng.choice(v, size=m, replace=False)) for rng in rngs]
     else:
         pickers = [lambda: all_ids] * n_trees
-    trees = _grow_forest(xc, y, samples(), len(schema), max_depth, min_leaf, pickers)
-    return ForestModel(schema, trees)
+    nodes = _grow_forest(xc, y, samples(), len(schema), max_depth, min_leaf, pickers)
+    return ForestModel(schema, n_trees, *nodes)
 
 
 def train_dt(

@@ -307,9 +307,14 @@ def _experiment_config(
             spec = _parse_llm_predictor(entry, where, schema, repeat_count)
         else:
             spec = _parse_baseline(entry, where)
-        if spec.name in seen_names:
-            raise ConfigError(f"{where}: duplicate predictor name {spec.name!r}")
-        seen_names.add(spec.name)
+        # an llm entry's reports and audit logs are named after its fanned-out entries
+        names = [spec.name]
+        if isinstance(spec, LlmSpec):
+            names += [name for name, _ in _llm_entries(spec)]
+        for name in names:
+            if name in seen_names:
+                raise ConfigError(f"{where}: duplicate predictor name {name!r}")
+        seen_names.update(names)
         specs.append(spec)
 
     return ExperimentConfig(

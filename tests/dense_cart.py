@@ -5,16 +5,45 @@ searched CSC columns: every candidate feature is argsorted over the node's
 rows, zeros included. `dense_forest` draws its RNG exactly as `train_rf`
 does, so both must grow the same trees node for node, and
 `dense_predict_proba` routes dense rows as `ForestModel.predict_proba` did.
+Its trees are linked `TreeNode`s; `forest_trees` rebuilds a `ForestModel`'s
+node arrays into the same shape, so the two can be compared node for node.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from zsbench.baselines.common import normalize_rows
-from zsbench.baselines.tree import TreeNode
+
+
+@dataclass
+class TreeNode:
+    distribution: np.ndarray  # class frequencies at this node, normalized
+    n_samples: int
+    feature: int | None = None
+    threshold: float | None = None
+    left: "TreeNode | None" = None
+    right: "TreeNode | None" = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.feature is None
+
+
+def forest_trees(model) -> list[TreeNode]:
+    """The trees of a ForestModel as linked nodes, one root per tree."""
+
+    def build(i: int) -> TreeNode:
+        node = TreeNode(model.value[i], int(model.n_samples[i]))
+        if model.feature[i] >= 0:
+            node.feature, node.threshold = int(model.feature[i]), float(model.threshold[i])
+            node.left, node.right = build(int(model.left[i])), build(int(model.left[i]) + 1)
+        return node
+
+    return [build(t) for t in range(model.n_trees)]
 
 
 def _gini(counts: np.ndarray) -> float:

@@ -217,18 +217,32 @@ def local_endpoint(monkeypatch, no_proxy_env):
         endpoint.close()
 
 
-class TestHttpProvider:
-    def _provider(self, script, local_endpoint):
-        endpoint = local_endpoint(script)
-        return endpoint, HttpProvider(endpoint.url, api_key_env="TEST_API_KEY")
+@pytest.fixture
+def http_provider():
+    """Builds HttpProviders that are closed after the test, pooled sockets and all."""
+    providers = []
 
-    def test_parses_chat_completion(self, local_endpoint):
+    def build(url: str) -> HttpProvider:
+        providers.append(HttpProvider(url, api_key_env="TEST_API_KEY"))
+        return providers[-1]
+
+    yield build
+    for provider in providers:
+        provider.close()
+
+
+class TestHttpProvider:
+    def _provider(self, script, local_endpoint, http_provider):
+        endpoint = local_endpoint(script)
+        return endpoint, http_provider(endpoint.url)
+
+    def test_parses_chat_completion(self, local_endpoint, http_provider):
         payload = {
             "model": "gpt-4-1106-preview",
             "usage": {"total_tokens": 10},
             "choices": [{"message": {"content": '{"0": "Books"}'}}],
         }
-        endpoint, provider = self._provider([(200, None, payload)], local_endpoint)
+        endpoint, provider = self._provider([(200, None, payload)], local_endpoint, http_provider)
         body = {"model": "m", "messages": [{"role": "user", "content": "café"}]}
         text, meta = provider.complete(body)
         assert text == '{"0": "Books"}'
@@ -246,11 +260,12 @@ class TestHttpProvider:
         with pytest.raises(AuthenticationError, match="ABSENT_KEY"):
             provider.complete({})
 
-    def test_status_mapping(self, local_endpoint):
+    def test_status_mapping(self, local_endpoint, http_provider):
         endpoint, provider = self._provider(
             [(429, None), (503, None), (500, None), (401, None), (403, None),
              (418, None, b"teapot")],
             local_endpoint,
+            http_provider,
         )
         for _ in range(3):
             with pytest.raises(ProviderError) as exc_info:
@@ -265,19 +280,23 @@ class TestHttpProvider:
         # every reply was read whole, so one connection carried them all
         assert endpoint.requests == 6 and endpoint.connections == 1
 
-    def test_malformed_payload(self, local_endpoint):
+    def test_malformed_payload(self, local_endpoint, http_provider):
         _, provider = self._provider(
-            [(200, None, {"choices": []}), (200, None, b"not json")], local_endpoint
+            [(200, None, {"choices": []}), (200, None, b"not json")],
+            local_endpoint,
+            http_provider,
         )
         for _ in range(2):
             with pytest.raises(ProviderError, match="malformed") as exc_info:
                 provider.complete({})
             assert exc_info.value.retryable is False
 
-    def test_redirect_not_followed(self, local_endpoint):
+    def test_redirect_not_followed(self, local_endpoint, http_provider):
         elsewhere = local_endpoint()
         endpoint, provider = self._provider(
-            [(307, None, {"error": "moved"}, {"Location": elsewhere.url})], local_endpoint
+            [(307, None, {"error": "moved"}, {"Location": elsewhere.url})],
+            local_endpoint,
+            http_provider,
         )
         with pytest.raises(ProviderError, match="HTTP 307") as exc_info:
             provider.complete({})
@@ -318,10 +337,10 @@ class TestHttpProvider:
 
 
 class TestProxy:
-    def test_http_proxy_gets_the_absolute_form(self, local_endpoint, monkeypatch):
+    def test_http_proxy_gets_the_absolute_form(self, local_endpoint, http_provider, monkeypatch):
         proxy, origin = local_endpoint(), local_endpoint()
         monkeypatch.setenv("http_proxy", f"http://user:p%40ss@{proxy.address}")
-        provider = HttpProvider(origin.url, api_key_env="TEST_API_KEY")
+        provider = http_provider(origin.url)
         for _ in range(2):
             assert provider.complete({"model": "m"})[0] == '{"0": "Books"}'
         assert origin.requests == 0
@@ -333,20 +352,20 @@ class TestProxy:
             assert sent["headers"]["Authorization"] == "Bearer sk-test"
             assert sent["headers"]["Proxy-Authorization"] == f"Basic {credentials}"
 
-    def test_no_proxy_bypasses_it(self, local_endpoint, monkeypatch):
+    def test_no_proxy_bypasses_it(self, local_endpoint, http_provider, monkeypatch):
         proxy, origin = local_endpoint(), local_endpoint()
         monkeypatch.setenv("http_proxy", f"http://{proxy.address}")
         monkeypatch.setenv("no_proxy", "localhost,127.0.0.1")
-        provider = HttpProvider(origin.url, api_key_env="TEST_API_KEY")
+        provider = http_provider(origin.url)
         provider.complete({"model": "m"})
         assert (origin.requests, proxy.requests) == (1, 0)
         assert origin.seen[0]["target"] == "/v1/chat/completions"
 
-    def test_https_goes_through_a_connect_tunnel(self, local_endpoint, monkeypatch):
+    def test_https_goes_through_a_connect_tunnel(self, local_endpoint, http_provider, monkeypatch):
         proxy = local_endpoint()
         monkeypatch.setenv("https_proxy", f"http://user:pw@{proxy.address}")
         # port 9 on loopback: nothing answers there if the tunnel is bypassed
-        provider = HttpProvider("https://127.0.0.1:9/v1", api_key_env="TEST_API_KEY")
+        provider = http_provider("https://127.0.0.1:9/v1")
         # the test proxy closes the tunnel instead of relaying the TLS handshake
         with pytest.raises(ProviderError, match="transport error") as exc_info:
             provider.complete({"model": "m"})
@@ -375,7 +394,10 @@ class TestRetryAfter:
     def _complete(self, endpoint, bundle, max_retries=3):
         provider = HttpProvider(endpoint.url, api_key_env="TEST_API_KEY")
         config = LlmRunConfig(model="m", max_retries=max_retries, backoff_base_s=0.5)
-        return complete_chat(bundle, config, provider)
+        try:
+            return complete_chat(bundle, config, provider)
+        finally:
+            provider.close()
 
     def test_delay_seconds_on_429(self, bundle, local_endpoint, sleeps):
         endpoint = local_endpoint([(429, "7")])
@@ -405,9 +427,9 @@ class TestRetryAfter:
         assert len(sleeps) == 2
         assert 0.5 <= sleeps[0] <= 0.55 and 1.0 <= sleeps[1] <= 1.1
 
-    def test_error_carries_retry_after(self, local_endpoint):
+    def test_error_carries_retry_after(self, local_endpoint, http_provider):
         endpoint = local_endpoint([(429, "12"), (503, "bogus")])
-        provider = HttpProvider(endpoint.url, api_key_env="TEST_API_KEY")
+        provider = http_provider(endpoint.url)
         for expected in (12.0, None):
             with pytest.raises(ProviderError) as exc_info:
                 provider.complete({"model": "m", "messages": []})
@@ -435,12 +457,12 @@ class TestRetryAfter:
 class TestSessions:
     """Pooled connections, counted on the server side by client address."""
 
-    def test_concurrent_requests_never_share_a_session(self, local_endpoint):
+    def test_concurrent_requests_never_share_a_session(self, local_endpoint, http_provider):
         endpoint = local_endpoint()
         # a request waits here for a second one in flight: two requests on
         # one connection could never both be in flight
         endpoint.on_request = threading.Barrier(2, timeout=10).wait
-        provider = HttpProvider(endpoint.url, api_key_env="TEST_API_KEY")
+        provider = http_provider(endpoint.url)
         errors = []
 
         def worker():
@@ -461,9 +483,11 @@ class TestSessions:
         assert endpoint.requests == 4
         assert endpoint.connections == 2
 
-    def test_sessions_outlive_classify_repeats(self, local_endpoint, ecommerce_schema):
+    def test_sessions_outlive_classify_repeats(
+        self, local_endpoint, http_provider, ecommerce_schema
+    ):
         endpoint = local_endpoint()
-        provider = HttpProvider(endpoint.url, api_key_env="TEST_API_KEY")
+        provider = http_provider(endpoint.url)
         docs = [(i, f"item {i}") for i in range(8)]
         config = LlmRunConfig(model="m", batch_size=2, concurrency=2, repeat_count=5, **FAST)
         with ClassificationPool(docs, ecommerce_schema, ECOMMERCE_TASK, config, provider) as pool:
@@ -471,12 +495,11 @@ class TestSessions:
                 classify_corpus(pool, repeat)
         assert endpoint.requests >= 20
         assert 1 <= endpoint.connections <= 2
-        provider.close()
 
-    def test_connection_closed_while_idle_is_reopened(self, local_endpoint):
+    def test_connection_closed_while_idle_is_reopened(self, local_endpoint, http_provider):
         endpoint = local_endpoint()
         endpoint.close_after_reply = True
-        provider = HttpProvider(endpoint.url, api_key_env="TEST_API_KEY")
+        provider = http_provider(endpoint.url)
         for _ in range(3):
             # one attempt each: reusing the closed socket would raise ProviderError
             assert provider.complete({"model": "m"})[0] == '{"0": "Books"}'

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import knn_oracle
+from dense_cart import forest_trees
 from zsbench.baselines.common import TrainingError
 from zsbench.baselines.knn import train_knn
 from zsbench.baselines.logreg import train_logreg
@@ -48,8 +49,9 @@ def tree_depth(node) -> int:
 
 def only_tree(model):
     """The single tree of a decision tree, which is a one-tree forest."""
-    assert len(model.trees) == 1
-    return model.trees[0]
+    trees = forest_trees(model)
+    assert len(trees) == 1
+    return trees[0]
 
 
 def random_dataset(rng, n, dim, labels):
@@ -224,14 +226,18 @@ class TestRandomForest:
         features, labels = random_dataset(rng, 30, 6, ["a", "b"])
         m1 = train_rf(features, labels, SCHEMA, n_trees=8, seed=11)
         m2 = train_rf(features, labels, SCHEMA, n_trees=8, seed=11)
-        assert [tree_structure(t) for t in m1.trees] == [tree_structure(t) for t in m2.trees]
+        assert [tree_structure(t) for t in forest_trees(m1)] == [
+            tree_structure(t) for t in forest_trees(m2)
+        ]
 
     def test_seed_changes_forest(self):
         rng = np.random.default_rng(4)
         features, labels = random_dataset(rng, 30, 6, ["a", "b"])
         m1 = train_rf(features, labels, SCHEMA, n_trees=8, seed=1)
         m2 = train_rf(features, labels, SCHEMA, n_trees=8, seed=2)
-        assert [tree_structure(t) for t in m1.trees] != [tree_structure(t) for t in m2.trees]
+        assert [tree_structure(t) for t in forest_trees(m1)] != [
+            tree_structure(t) for t in forest_trees(m2)
+        ]
 
     @pytest.mark.parametrize("min_leaf", [0, -1])
     def test_rejects_min_leaf_below_one(self, min_leaf):

@@ -104,6 +104,20 @@ class TestValidateConfig:
         config = validate_config(minimal_config(fixture_corpus_path, tmp_path, predictors=[entry]))
         assert config.to_json_dict()["predictors"][0]["type"] == "llm"
 
+    @pytest.mark.parametrize("first", [True, False])
+    def test_llm_entry_name_colliding_after_fan_out_rejected(
+        self, fixture_corpus_path, tmp_path, first
+    ):
+        # "both" runs entries m-original and m-clean; a second m-clean would
+        # overwrite its report and truncate its audit log
+        both = mock_llm_predictor("m", text_variant="both")
+        clean = mock_llm_predictor("m-clean")
+        predictors = [clean, both] if first else [both, clean]
+        raw = minimal_config(fixture_corpus_path, tmp_path, predictors=predictors)
+        expected = "predictors[1]: duplicate predictor name 'm-clean'"
+        with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
+            validate_config(raw)
+
     def test_llm_defaults_match_protocol(self, fixture_corpus_path, tmp_path):
         raw = minimal_config(
             fixture_corpus_path, tmp_path, predictors=[mock_llm_predictor()]

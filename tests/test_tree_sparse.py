@@ -4,12 +4,14 @@ Both must grow the same trees node for node, with bit-equal thresholds and
 distributions, and route rows to the same leaves. The trainers and the
 forest's predict_proba must never densify their input. A forest's trees grow
 in lockstep, so the number of split searches follows its largest tree, not
-its total node count, and does not change the trees.
+its total node count, and does not change the trees. A fitted forest keeps
+its nodes in flat arrays, a few dozen bytes per node.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
-from dense_cart import dense_forest, dense_predict_proba
+from dense_cart import dense_forest, dense_predict_proba, forest_trees
 from zsbench.baselines import tree
 from zsbench.baselines.tree import train_dt, train_rf
 from zsbench.dataset import LabelSchema, load_corpus, stratified_split
@@ -47,7 +49,7 @@ def exact_nodes(root) -> list[tuple]:
 
 
 def assert_same_forest(model, reference, queries: sparse.csr_matrix) -> None:
-    assert [exact_nodes(t) for t in model.trees] == [exact_nodes(t) for t in reference]
+    assert [exact_nodes(t) for t in forest_trees(model)] == [exact_nodes(t) for t in reference]
     expected = dense_predict_proba(reference, queries.toarray())
     assert np.array_equal(model.predict_proba(queries), expected)
 
@@ -130,7 +132,7 @@ def test_fixture_corpus_trees_match_dense_reference(fixture_features):
         (rf, dense_forest(xd, y, len(schema), 50, 16, 1, "sqrt", True, 7)),
     ]:
         assert_same_forest(model, reference, x_test)
-        assert not model.trees[0].is_leaf
+        assert not forest_trees(model)[0].is_leaf
 
 
 def searched_nodes(root, max_depth: int, min_leaf: int = 1) -> int:
@@ -161,14 +163,29 @@ def test_forest_grows_in_lockstep(fixture_features, monkeypatch, cap):
     monkeypatch.setattr(tree, "_SEARCH_NODES", cap)
     monkeypatch.setattr(tree, "best_splits", counted)
     model = train_rf(x, labels, schema, n_trees=50, max_depth=16, seed=7)
-    assert_same_forest(model, expected.trees, x_test)
+    assert_same_forest(model, forest_trees(expected), x_test)
 
     # one step per node of the tree scored most often, one search per cap nodes
-    steps = max(searched_nodes(root, 16) for root in model.trees)
+    steps = max(searched_nodes(root, 16) for root in forest_trees(model))
     assert len(searches) <= steps * math.ceil(50 / cap)
     assert max(searches) <= cap
     if cap >= 50:
         assert len(searches) == steps
+
+
+def test_forest_retains_few_bytes_per_node(fixture_features):
+    # one Python object per node, holding a numpy row, retained about 250 B
+    x, _, labels, schema = fixture_features
+    train_rf(x, labels, schema, n_trees=2, max_depth=16, seed=7)  # first-call caches
+    tracemalloc.start()
+    try:
+        model = train_rf(x, labels, schema, n_trees=50, max_depth=16, seed=7)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n_nodes = len(model.feature)
+    assert n_nodes > 50 * 3
+    assert retained / n_nodes < 100
 
 
 def test_trees_never_densify(fixture_features, monkeypatch):
