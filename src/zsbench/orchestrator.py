@@ -5,8 +5,8 @@ predictors. The split is preprocessed and vectorized once, and every
 baseline trains and predicts on the same pair of TF-IDF matrices; LLM
 predictors consume raw text by default (optionally cleaned, or both for an
 ablation).
-Every predictor is evaluated on the identical test documents, and all
-artifacts land in a per-run directory.
+Every predictor is evaluated on the identical test documents, and each
+artifact lands in a per-run directory as soon as it is known.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import os
 import platform
 import sys
 import time
@@ -219,6 +220,10 @@ def _parse_llm_predictor(
 
     name = entry.get("name", entry.get("model", "llm"))
     _check_type(name, str, f"{where}.name")
+    # the entry's report and audit log are files named after it
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        hint = "" if "name" in entry else "; give the entry a 'name'"
+        raise ConfigError(f"{where}.name: {name!r} is not a plain file name{hint}")
     spec = LlmSpec(
         name=name,
         run=run,
@@ -349,10 +354,6 @@ class PredictorResult:
     runs: list[EvalReport] = field(default_factory=list)
     aggregates: dict[str, RunAggregate] = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def is_aggregate(self) -> bool:
-        return bool(self.aggregates)
 
     def to_json_dict(self) -> dict:
         out = {"name": self.name, "category": self.category, "status": self.status}
@@ -513,12 +514,26 @@ def _llm_entries(spec: LlmSpec) -> list[tuple[str, str]]:
     return [(spec.name, spec.text_variant)]
 
 
+def _write(path: Path, text: str) -> None:
+    """Write `text` to `path` through `<path>.partial` and `os.replace`, so a
+    run stopped part-way never leaves a torn file."""
+    partial = path.with_name(path.name + ".partial")
+    partial.write_text(text, "utf-8")
+    os.replace(partial, path)
+
+
+def _json(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
 def run_experiment(config: ExperimentConfig, run_id: str | None = None) -> ExperimentResult:
-    """Execute the full experiment and write artifacts under a run directory.
+    """Execute the full experiment, writing each artifact under a run
+    directory as soon as it is known, so a stopped run keeps what it finished.
 
     One predictor failing is recorded and does not disturb the others;
-    dataset or split failures abort. An existing run directory is refused,
-    so a run never mixes its artifacts with an earlier run's.
+    dataset or split failures abort before the directory is made. An
+    existing run directory is refused, so a run never mixes its artifacts
+    with an earlier run's.
     """
     if run_id is None:
         run_id = datetime.now().strftime("run-%Y%m%d-%H%M%S-%f")
@@ -537,7 +552,18 @@ def run_experiment(config: ExperimentConfig, run_id: str | None = None) -> Exper
     y_test = corpus.schema.codes(corpus.labels[i] for i in test_ids)
 
     run_dir.mkdir(parents=True)
-
+    (run_dir / "reports").mkdir()
+    _write(run_dir / "config.json", config.canonical_json() + "\n")
+    _write(run_dir / "manifest.json", _json({
+        "config_hash": config.config_hash(),
+        "zsbench_version": __version__,
+        "python": sys.version.split()[0],
+        # not platform.platform(), which runs `uname -p` in a child process
+        "platform": "-".join((platform.system(), platform.release(), platform.machine())),
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+    }))
+    split = {"train_ids": train_ids, "test_ids": test_ids}
+    _write(run_dir / "split.json", json.dumps(split, sort_keys=True) + "\n")
     result = ExperimentResult(
         config=config, run_dir=run_dir, train_ids=train_ids, test_ids=test_ids
     )
@@ -552,9 +578,9 @@ def run_experiment(config: ExperimentConfig, run_id: str | None = None) -> Exper
 
     for spec in config.predictors:
         if isinstance(spec, BaselineSpec):
-            entries = [(spec.name, None)]
+            category, entries = "baseline", [(spec.name, None)]
         else:
-            entries = _llm_entries(spec)
+            category, entries = "llm", _llm_entries(spec)
         for entry_name, variant in entries:
             try:
                 if isinstance(spec, BaselineSpec):
@@ -566,66 +592,20 @@ def run_experiment(config: ExperimentConfig, run_id: str | None = None) -> Exper
                         spec, variant, corpus, test_ids, y_test, config, run_dir, entry_name
                     )
             except Exception as exc:  # noqa: BLE001 - crash isolation per predictor
-                res = PredictorResult(
-                    name=entry_name,
-                    category="baseline" if isinstance(spec, BaselineSpec) else "llm",
-                    status="error",
-                    error=f"{type(exc).__name__}: {exc}",
-                )
+                res = PredictorResult(entry_name, category, "error", f"{type(exc).__name__}: {exc}")
+            # a predictor that did not score the shared test ids is not compared
+            consumed = sorted(res.diagnostics.get("evaluated_doc_ids", []))
+            if res.status == "ok" and consumed != test_ids:
+                res = PredictorResult(entry_name, category, "error", (
+                    f"fair-comparison violation: {entry_name} evaluated {len(consumed)} "
+                    f"documents, expected the shared {len(test_ids)}-item test set"
+                ))
             result.predictors[entry_name] = res
+            _write(run_dir / "reports" / f"{entry_name}.json", _json(res.to_json_dict()))
 
-    _check_fair_comparison(result)
-    _write_artifacts(result)
+    _write(run_dir / "report.json", emit_report(result, "json"))
+    _write(run_dir / "report.md", emit_report(result, "markdown"))
     return result
-
-
-def _check_fair_comparison(result: ExperimentResult) -> None:
-    """Every successful predictor must have consumed the same test ids; one
-    that did not is recorded as failed, so its scores are not compared."""
-    expected = result.test_ids
-    for name, res in list(result.predictors.items()):
-        if res.status != "ok":
-            continue
-        consumed = sorted(res.diagnostics.get("evaluated_doc_ids", []))
-        if consumed != expected:
-            result.predictors[name] = PredictorResult(
-                name=res.name,
-                category=res.category,
-                status="error",
-                error=f"fair-comparison violation: {res.name} evaluated {len(consumed)} "
-                f"documents, expected the shared {len(expected)}-item test set",
-            )
-
-
-def _write_artifacts(result: ExperimentResult) -> None:
-    run_dir = result.run_dir
-    (run_dir / "reports").mkdir(exist_ok=True)
-    (run_dir / "config.json").write_text(result.config.canonical_json() + "\n", "utf-8")
-    manifest = {
-        "config_hash": result.config.config_hash(),
-        "zsbench_version": __version__,
-        "python": sys.version.split()[0],
-        # not platform.platform(), which runs `uname -p` in a child process
-        "platform": "-".join((platform.system(), platform.release(), platform.machine())),
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }
-    (run_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8"
-    )
-    (run_dir / "split.json").write_text(
-        json.dumps(
-            {"train_ids": result.train_ids, "test_ids": result.test_ids},
-            sort_keys=True,
-        )
-        + "\n",
-        "utf-8",
-    )
-    for name, res in result.predictors.items():
-        (run_dir / "reports" / f"{name}.json").write_text(
-            json.dumps(res.to_json_dict(), indent=2, sort_keys=True) + "\n", "utf-8"
-        )
-    (run_dir / "report.json").write_text(emit_report(result, "json"), "utf-8")
-    (run_dir / "report.md").write_text(emit_report(result, "markdown"), "utf-8")
 
 
 def _format_metric(value: float | None) -> str:
@@ -640,7 +620,7 @@ def _report_rows(result: ExperimentResult, category: str) -> list[str]:
         display = DISPLAY_NAMES.get(
             canonical_baseline_name(name) or "", name
         ) if category == "baseline" else name
-        if res.is_aggregate:
+        if res.aggregates:
             acc = res.aggregates["acc"].format()
             f1 = res.aggregates["macro_f1"].format()
             auc = "-"
@@ -658,7 +638,7 @@ def emit_report(result: ExperimentResult, format: str = "markdown") -> str:
     if not result.predictors:
         raise ValueError("empty result: no predictors were run")
     if format == "json":
-        return json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return _json(result.to_json_dict())
     if format not in ("markdown", "md"):
         raise ValueError(f"unknown report format {format!r}")
 

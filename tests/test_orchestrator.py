@@ -118,6 +118,33 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
             validate_config(raw)
 
+    @pytest.mark.parametrize(
+        "name", ["", ".", "..", "a/b", "../up", "a\\b", "a\0b", None],
+        ids=["empty", "dot", "dotdot", "slash", "parent", "backslash", "nul", "model-default"],
+    )
+    def test_llm_entry_name_that_is_not_a_file_name_rejected(
+        self, fixture_corpus_path, tmp_path, name
+    ):
+        # the name is a file name in reports/ and audit/; it defaults to the model id
+        entry = mock_llm_predictor(name, repeat_count=1)
+        if name is None:
+            del entry["name"]
+            entry["model"] = name = "meta-llama/Llama-2-7b"
+        raw = minimal_config(fixture_corpus_path, tmp_path, predictors=[{"name": "mnb"}, entry])
+        expected = f"predictors[1].name: {name!r} is not a plain file name"
+        if "name" not in entry:
+            expected += "; give the entry a 'name'"
+        with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
+            validate_config(raw)
+
+    def test_model_id_with_a_slash_runs_under_its_own_name(self, fixture_corpus_path, tmp_path):
+        entry = mock_llm_predictor("llama", model="meta-llama/Llama-2-7b", repeat_count=1)
+        raw = minimal_config(fixture_corpus_path, tmp_path, predictors=[entry])
+        result = run_experiment(validate_config(raw), run_id="slash-model")
+        assert result.predictors["llama"].status == "ok"
+        assert (result.run_dir / "reports" / "llama.json").is_file()
+        assert (result.run_dir / "audit" / "llama.jsonl").is_file()
+
     def test_llm_defaults_match_protocol(self, fixture_corpus_path, tmp_path):
         raw = minimal_config(
             fixture_corpus_path, tmp_path, predictors=[mock_llm_predictor()]
@@ -765,6 +792,78 @@ class TestRunExperiment:
         }
         assert statuses == {"mnb": "ok", "knn": "error", "mock-llm": "ok"}
         assert f"- knn: {message}" in (run_dir / "report.md").read_text()
+
+    @staticmethod
+    def _files(run_dir) -> list[str]:
+        return sorted(path.relative_to(run_dir).as_posix() for path in run_dir.rglob("*"))
+
+    def test_interrupted_baseline_keeps_what_was_written(
+        self, fixture_corpus_path, tmp_path, monkeypatch
+    ):
+        predictors = [{"name": "mnb"}, {"name": "knn"}, mock_llm_predictor(repeat_count=1)]
+        config = validate_config(minimal_config(fixture_corpus_path, tmp_path, predictors))
+        whole = run_experiment(config, run_id="whole").run_dir
+        train = orchestrator.train_baseline
+
+        def interrupt_second(kind, *args, **kwargs):
+            if kind == "knn":
+                raise KeyboardInterrupt
+            return train(kind, *args, **kwargs)
+
+        monkeypatch.setattr(orchestrator, "train_baseline", interrupt_second)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(config, run_id="stopped")
+
+        stopped = tmp_path / "runs" / "stopped"
+        for rel in ["config.json", "split.json", "reports/mnb.json"]:
+            assert (stopped / rel).read_bytes() == (whole / rel).read_bytes(), rel
+        json.loads((stopped / "manifest.json").read_text("utf-8"))
+        # no report.* and no *.partial
+        assert self._files(stopped) == ["config.json", "manifest.json", "reports",
+                                        "reports/mnb.json", "split.json"]
+
+    def test_interrupted_llm_entry_keeps_earlier_reports_and_closes_its_log(
+        self, fixture_corpus_path, tmp_path, monkeypatch
+    ):
+        predictors = [
+            {"name": "mnb"},
+            mock_llm_predictor("first", repeat_count=1),
+            mock_llm_predictor("second", repeat_count=3),
+        ]
+        config = validate_config(minimal_config(fixture_corpus_path, tmp_path, predictors))
+        whole = run_experiment(config, run_id="whole").run_dir
+        classify = orchestrator.classify_corpus
+        opened, closed = [], []
+
+        def interrupt_repeat_1(pool, repeat):
+            if repeat == 1:
+                raise KeyboardInterrupt
+            return classify(pool, repeat)
+
+        class RecordedLog(orchestrator.AuditLog):
+            def __init__(self, path):
+                super().__init__(path)
+                opened.append(self.path.name)
+
+            def close(self):
+                super().close()
+                closed.append(self.path.name)
+
+        monkeypatch.setattr(orchestrator, "classify_corpus", interrupt_repeat_1)
+        monkeypatch.setattr(orchestrator, "AuditLog", RecordedLog)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(config, run_id="stopped")
+
+        stopped = tmp_path / "runs" / "stopped"
+        for rel in ["config.json", "split.json", "reports/mnb.json", "reports/first.json"]:
+            assert (stopped / rel).read_bytes() == (whole / rel).read_bytes(), rel
+        assert opened == closed == ["first.jsonl", "second.jsonl"]
+        files = self._files(stopped)
+        assert not [f for f in files if f.startswith("report.") or f.endswith(".partial")]
+        assert "reports/second.json" not in files
+        # the log holds whole records of the requests sent before the interrupt
+        lines = (stopped / "audit" / "second.jsonl").read_text("utf-8").splitlines()
+        assert lines and all(json.loads(line)["predictor"] == "second" for line in lines)
 
     def test_cli_reports_reused_run_id(self, fixture_corpus_path, tmp_path, capsys):
         config_path = tmp_path / "config.json"
