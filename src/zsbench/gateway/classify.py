@@ -145,22 +145,25 @@ class ClassificationPool:
             sendable[i : i + config.batch_size] for i in range(0, len(sendable), config.batch_size)
         ]
         repeats = range(config.repeat_count)
-        self._jobs = ((repeat, b) for repeat in repeats for b in range(len(self.batches)))
+        self._jobs = iter(())  # handed out by __enter__ once every job loop has started
         self._outcomes = [[None] * len(self.batches) for _ in repeats]
         self._left = [len(self.batches) for _ in repeats]  # batches each repeat waits for
         self._failure: Exception | None = None
         # guards the jobs and the three lists above; notified when a batch ends
-        self._changed = threading.Condition()
+        self._lock = threading.RLock()
+        self._changed = threading.Condition(self._lock)
         # set once the entry ends, fails or is interrupted: start no further batch
         self._stopping = threading.Event()
 
     def __enter__(self) -> "ClassificationPool":
         # a job loop per worker, and no more loops than jobs
-        jobs = len(self.batches) * len(self._left)
+        loops = min(self.config.concurrency, len(self.batches) * len(self._left))
         self._executor = ThreadPoolExecutor(max_workers=self.config.concurrency)
-        self._workers = [
-            self._executor.submit(self._work) for _ in range(min(self.config.concurrency, jobs))
-        ]
+        # a Ctrl-C while the loops start calls no __exit__; until every loop
+        # has started, the loops find no job, so such a Ctrl-C sends nothing
+        with self._lock:
+            self._workers = [self._executor.submit(self._work) for _ in range(loops)]
+            self._jobs = ((r, b) for r in range(len(self._left)) for b in range(len(self.batches)))
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -225,7 +228,7 @@ class ClassificationPool:
         stops the pool from starting further batches and is re-raised.
         """
         try:
-            with self._changed:
+            with self._lock:  # not Condition.__enter__, which a Ctrl-C can leave holding it
                 # waits in slices: an interrupt that does not wake a blocked
                 # wait (raised from another thread, or a signal that landed on
                 # a worker) would otherwise surface only once the repeat ended

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from zsbench.gateway import classify as gateway_classify
 from zsbench.gateway.classify import (
     AuditLog,
     ClassificationAborted,
@@ -220,6 +221,38 @@ class TestReAskAndFallback:
             classify_once(docs, ecommerce_schema, config, provider)
         # only the batches in flight when the interrupt landed may send more
         assert 3 <= calls[0] <= 3 + 2 * config.concurrency
+
+    def test_keyboard_interrupt_while_workers_start_sends_nothing(
+        self, ecommerce_schema, monkeypatch
+    ):
+        # the interrupt lands in __enter__ once the first worker has started,
+        # so `with` never calls __exit__ to stop it
+        started = []
+
+        class InterruptedExecutor(gateway_classify.ThreadPoolExecutor):
+            def submit(self, fn):
+                if started:
+                    raise KeyboardInterrupt
+                started.append(fn)
+                return super().submit(fn)
+
+        rules = KeywordRuleProvider(ecommerce_schema, FIXTURE_RULES, FIXTURE_DEFAULT_LABEL)
+        calls = []
+
+        class SlowProvider:
+            def complete(self, body):
+                calls.append(body)
+                time.sleep(0.01)
+                return rules.complete(body)
+
+        monkeypatch.setattr(gateway_classify, "ThreadPoolExecutor", InterruptedExecutor)
+        docs = make_docs([f"usb item {i}" for i in range(20)])
+        config = LlmRunConfig(model="m", batch_size=1, concurrency=2, **ONCE)
+        with pytest.raises(KeyboardInterrupt):
+            with ClassificationPool(docs, ecommerce_schema, ECOMMERCE_TASK, config, SlowProvider()):
+                pytest.fail("the pool was entered")
+        time.sleep(0.1)
+        assert started and calls == []
 
     def test_keyboard_interrupt_stops_later_repeats(
         self, tmp_path, ecommerce_schema, sigint_raises
