@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import sparse
 
+from conftest import DATA_DIR, ECOMMERCE_LABELS
 from zsbench.baselines.common import TrainingError
 from zsbench.baselines.logreg import DivergenceError, _loss_and_grads, train_logreg
-from zsbench.dataset import LabelSchema
+from zsbench.dataset import LabelSchema, load_corpus, stratified_split
+from zsbench.features import fit_vectorizer
+from zsbench.preprocess import CleaningPolicy, preprocess_corpus
 
 
 def csr(rows) -> sparse.csr_matrix:
@@ -64,6 +69,32 @@ class TestTraining:
         m2 = train_logreg(features, labels, SCHEMA2, epochs=30)
         assert np.array_equal(m1.weights, m2.weights)
         assert np.array_equal(m1.bias, m2.bias)
+
+
+class TestPinnedOutput:
+    def test_fixture_weights_bias_and_scores_are_pinned(self):
+        """LG at default hyperparameters on the fixture corpus's TF-IDF
+        split (test_size 150, seed 42): any change to the arithmetic of a
+        fit or a prediction shows as a changed sha256."""
+        schema = LabelSchema("e-commerce", ECOMMERCE_LABELS)
+        corpus = load_corpus(DATA_DIR / "fixture_corpus.csv", "csv", "text", "category", schema)
+        train_ids, test_ids = stratified_split(corpus, 150, 42)
+        tokens = preprocess_corpus([corpus.texts[i] for i in train_ids + test_ids], CleaningPolicy())
+        train_docs, test_docs = tokens[: len(train_ids)], tokens[len(train_ids) :]
+        vectorizer = fit_vectorizer(train_docs)
+        model = train_logreg(
+            vectorizer.transform_all(train_docs), [corpus.labels[i] for i in train_ids], schema
+        )
+        proba = model.predict_proba(vectorizer.transform_all(test_docs))
+
+        def sha(array):
+            return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+        assert model.weights.shape == (4, 60)
+        assert proba.shape == (150, 4)
+        assert sha(model.weights) == "39c4aec68fe79c4eff18c24d09a455b9025e8013af084622893dbe923a320e48"
+        assert sha(model.bias) == "d3b3934771e964d2180e2dd1a0c83d67c746cf4de6a777f0f9f1c7b25d152e06"
+        assert sha(proba) == "edbcb84e6d660be08f937f4075c189faa3fc9e17d6fdf961876c92b67f2bd4fc"
 
 
 class TestGradientCheck:
