@@ -16,33 +16,33 @@ class DivergenceError(TrainingError):
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exps = np.exp(shifted)
-    return exps / exps.sum(axis=-1, keepdims=True)
+    """Row softmax computed in place: `logits` is overwritten and returned."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    return np.divide(logits, logits.sum(axis=-1, keepdims=True), out=logits)
 
 
-def _loss_and_grads(weights, bias, x, y_onehot, l2_lambda):
+def _loss_and_grads(weights, bias, x, xt, y_onehot, l2_lambda):
     """Mean cross-entropy plus (lambda/2)||W||^2, and its analytic gradient
     w.r.t. weights and bias, from one softmax: (loss, grad_w, grad_b).
 
+    `weights` and `grad_w` are (V, K); `xt` is `x.T`, built once per fit.
     A true-class probability underflowing to zero makes the loss infinite,
     which the training loop reports as divergence.
     """
-    probs = softmax(x @ weights.T + bias)
+    probs = softmax(x @ weights + bias)
     n = x.shape[0]
     with np.errstate(divide="ignore"):
         ce = -np.log(probs[np.arange(n), y_onehot.argmax(axis=1)]).mean()
     loss = ce + 0.5 * l2_lambda * float((weights * weights).sum())
     delta = (probs - y_onehot) / n
-    grad_w = (x.T @ delta).T + l2_lambda * weights
-    grad_b = delta.sum(axis=0)
-    return loss, np.asarray(grad_w), grad_b
+    return loss, xt @ delta + l2_lambda * weights, delta.sum(axis=0)
 
 
 class LogRegModel:
     def __init__(self, schema: LabelSchema, weights: np.ndarray, bias: np.ndarray, loss_history: list[float]):
         self.schema = schema
-        self.weights = weights  # shape (K, V)
+        self.weights = weights  # shape (K, V); a view of the (V, K) array training updates
         self.bias = bias
         self.loss_history = loss_history
 
@@ -75,19 +75,16 @@ def train_logreg(
     """
     del seed
     check_hyperparameters(learning_rate, l2_lambda, epochs)
-    y = check_training_input(x, labels, schema)
     k = len(schema)
-    y_onehot = np.zeros((x.shape[0], k))
-    y_onehot[np.arange(x.shape[0]), y] = 1.0
-
-    weights = np.zeros((k, x.shape[1]))
-    bias = np.zeros(k)
+    y_onehot = np.eye(k)[check_training_input(x, labels, schema)]
+    weights, bias = np.zeros((x.shape[1], k)), np.zeros(k)
+    xt = x.T
     history = []
     for epoch in range(epochs):
-        loss, grad_w, grad_b = _loss_and_grads(weights, bias, x, y_onehot, l2_lambda)
+        loss, grad_w, grad_b = _loss_and_grads(weights, bias, x, xt, y_onehot, l2_lambda)
         if not np.isfinite(loss):
             raise DivergenceError(epoch)
         history.append(float(loss))
-        weights -= learning_rate * grad_w
+        weights -= np.multiply(learning_rate, grad_w, out=grad_w)
         bias -= learning_rate * grad_b
-    return LogRegModel(schema, weights, bias, history)
+    return LogRegModel(schema, weights.T, bias, history)

@@ -78,6 +78,9 @@ def main(argv=None) -> int:
     except (ConfigError, CorpusError, GatewayError, MetricsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted: the run directory keeps what was written before it", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -3,9 +3,10 @@
 Cleaning applies removal rules in a fixed order (URLs, HTML tags, mentions,
 hashtags, digits, punctuation), each replacing the matched span with a
 space, then lowercases and collapses whitespace; a rule whose pattern
-cannot match the text is skipped. Replacing instead of deleting keeps the
-pipeline idempotent: a later rule can never splice two fragments into a
-match for an earlier one.
+cannot match the text is skipped, and the one-character digit and
+punctuation rules run as one `str.translate` pass. Replacing instead of
+deleting keeps the pipeline idempotent: a later rule can never splice two
+fragments into a match for an earlier one.
 """
 
 from __future__ import annotations
@@ -57,6 +58,22 @@ def _load_stopwords() -> frozenset[str]:
 STOPWORDS = _load_stopwords()
 
 
+class _RuleTable(dict):
+    """`str.translate` table: a code point one of `patterns` matches -> a space, any other -> itself."""
+
+    def __init__(self, *patterns: re.Pattern):
+        self.patterns = patterns
+
+    def __missing__(self, code: int) -> int:
+        self[code] = result = 32 if any(p.match(chr(code)) for p in self.patterns) else code
+        return result
+
+
+# keyed by (remove_digits, remove_punctuation); a digit run becomes one space per digit
+_RULE_TABLES = {(True, False): _RuleTable(_DIGIT_RE), (False, True): _RuleTable(_PUNCT_RE),
+                (True, True): _RuleTable(_DIGIT_RE, _PUNCT_RE)}
+
+
 def _remove(text: str, policy: CleaningPolicy) -> str:
     """Apply the policy's removal rules in fixed order, each match becoming a space.
 
@@ -78,10 +95,8 @@ def _remove(text: str, policy: CleaningPolicy) -> str:
         text = _MENTION_RE.sub(" ", text)
     if policy.remove_hashtags and "#" in text:
         text = _HASHTAG_RE.sub(" ", text)
-    if policy.remove_digits:
-        text = _DIGIT_RE.sub(" ", text)
-    if policy.remove_punctuation:
-        text = _PUNCT_RE.sub(" ", text)
+    if policy.remove_digits or policy.remove_punctuation:
+        text = text.translate(_RULE_TABLES[policy.remove_digits, policy.remove_punctuation])
     return text
 
 

@@ -154,10 +154,11 @@ def test_criterion_3_lr_gradient_check():
     weights = rng.normal(scale=0.4, size=(k, v))
     bias = rng.normal(scale=0.4, size=k)
     l2 = 0.01
-    _, grad_w, grad_b = _loss_and_grads(weights, bias, x, y_onehot, l2)
+    _, grad_w, grad_b = _loss_and_grads(weights.T, bias, x, x.T, y_onehot, l2)
+    grad_w = grad_w.T
 
     def loss(w, b):
-        return _loss_and_grads(w, b, x, y_onehot, l2)[0]
+        return _loss_and_grads(w.T, b, x, x.T, y_onehot, l2)[0]
 
     eps = 1e-5
     for i in range(k):

@@ -8,6 +8,7 @@ from scipy import sparse
 
 from conftest import DATA_DIR, ECOMMERCE_LABELS
 from zsbench.baselines.common import TrainingError
+from zsbench.baselines import logreg
 from zsbench.baselines.logreg import DivergenceError, _loss_and_grads, train_logreg
 from zsbench.dataset import LabelSchema, load_corpus, stratified_split
 from zsbench.features import fit_vectorizer
@@ -70,6 +71,24 @@ class TestTraining:
         assert np.array_equal(m1.weights, m2.weights)
         assert np.array_equal(m1.bias, m2.bias)
 
+    def test_one_gradient_evaluation_per_epoch_with_one_transpose(self, monkeypatch):
+        """The gradient oracles check the very function each epoch calls,
+        and `x.T` is built once per fit, not once per epoch."""
+        calls = []
+
+        def counting(weights, bias, x, xt, y_onehot, l2_lambda):
+            calls.append(xt)
+            return _loss_and_grads(weights, bias, x, xt, y_onehot, l2_lambda)
+
+        monkeypatch.setattr(logreg, "_loss_and_grads", counting)
+        features = csr([[1, 0], [0.5, 0.5], [0, 1]])
+        train_logreg(features, ["a", "b", "b"], SCHEMA2, epochs=7)
+        assert len(calls) == 7
+        assert all(xt is calls[0] for xt in calls)
+        calls.clear()
+        train_logreg(features, ["a", "b", "b"], SCHEMA2, epochs=0)
+        assert calls == []
+
 
 class TestPinnedOutput:
     def test_fixture_weights_bias_and_scores_are_pinned(self):
@@ -109,10 +128,11 @@ class TestGradientCheck:
         bias = rng.normal(scale=0.5, size=k)
         l2 = 0.01
 
-        _, grad_w, grad_b = _loss_and_grads(weights, bias, x, y_onehot, l2)
+        _, grad_w, grad_b = _loss_and_grads(weights.T, bias, x, x.T, y_onehot, l2)
+        grad_w = grad_w.T
 
         def loss(w, b):
-            return _loss_and_grads(w, b, x, y_onehot, l2)[0]
+            return _loss_and_grads(w.T, b, x, x.T, y_onehot, l2)[0]
 
         eps = 1e-5
         num_w = np.zeros_like(weights)

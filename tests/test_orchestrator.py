@@ -876,6 +876,30 @@ class TestRunExperiment:
         assert err.startswith("error: run directory ")
         assert "already exists" in err
 
+    def test_cli_interrupted_run_exits_130_without_a_traceback(
+        self, fixture_corpus_path, tmp_path, monkeypatch, capsys
+    ):
+        config_path = tmp_path / "config.json"
+        predictors = [{"name": "mnb"}, mock_llm_predictor(repeat_count=3)]
+        config_path.write_text(minimal_config(fixture_corpus_path, tmp_path, predictors), "utf-8")
+        classify = orchestrator.classify_corpus
+
+        def interrupt_repeat_1(pool, repeat):
+            if repeat == 1:
+                raise KeyboardInterrupt
+            return classify(pool, repeat)
+
+        monkeypatch.setattr(orchestrator, "classify_corpus", interrupt_repeat_1)
+        try:
+            code = cli.main(["run", str(config_path), "--run-id", "stopped"])
+        except KeyboardInterrupt:
+            pytest.fail("KeyboardInterrupt escaped cli.main")
+        assert code == 130
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert (tmp_path / "runs" / "stopped" / "reports" / "mnb.json").is_file()
+
 
 class TestEmitReport:
     def test_markdown_sections_and_auc_dash(self, fixture_corpus_path, tmp_path):

@@ -150,7 +150,10 @@ _oracle_fragments = st.one_of(
     ),
     st.sampled_from(
         ["http", "HTTP", "hTtPs://", "https://", "www.", "WWW.", "t.co/", "T.CO/",
-         "\u017ft.co/", "http\u017f://", "<", ">", "<b>", "@", "#", "7", "\u0660"]
+         "\u017ft.co/", "http\u017f://", "<", ">", "<b>", "@", "#", "7", "\u0660",
+         # digits and punctuation outside ASCII: Devanagari zero, a mathematical
+         # double-struck one, superscript two (no decimal digit), em dash, fullwidth !
+         "\u0966", "\U0001d7d9", "\u00b2", "\u2014", "\uff01"]
     ),
 )
 oracle_text = st.lists(_oracle_fragments, max_size=10).map("".join)
