@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,16 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import knn_oracle
+from conftest import DATA_DIR, ECOMMERCE_LABELS
 from dense_cart import forest_trees
 from zsbench.baselines.common import TrainingError
 from zsbench.baselines.knn import train_knn
 from zsbench.baselines.logreg import train_logreg
 from zsbench.baselines.mnb import train_mnb
 from zsbench.baselines.tree import train_dt, train_rf
-from zsbench.dataset import LabelSchema
+from zsbench.dataset import LabelSchema, load_corpus, stratified_split
+from zsbench.features import fit_vectorizer
+from zsbench.preprocess import CleaningPolicy, preprocess_corpus
 
 SCHEMA = LabelSchema("t", ["a", "b"])
 SCHEMA3 = LabelSchema("t3", ["a", "b", "c"])
@@ -145,6 +150,24 @@ class TestKnn:
         model = train_knn(csr(train), labels, SCHEMA3, k=k)
         got = model.predict_proba(csr(queries))
         assert got.tobytes() == knn_oracle.predict_proba(model, csr(queries)).tobytes()
+
+    def test_fixture_scores_are_pinned(self):
+        """KNN at k=5 on the fixture corpus's TF-IDF split (test_size 150,
+        seed 42, so several query blocks): any change to the arithmetic of
+        the similarities or the vote shows as a changed sha256."""
+        schema = LabelSchema("e-commerce", ECOMMERCE_LABELS)
+        corpus = load_corpus(DATA_DIR / "fixture_corpus.csv", "csv", "text", "category", schema)
+        train_ids, test_ids = stratified_split(corpus, 150, 42)
+        tokens = preprocess_corpus([corpus.texts[i] for i in train_ids + test_ids], CleaningPolicy())
+        train_docs, test_docs = tokens[: len(train_ids)], tokens[len(train_ids) :]
+        vectorizer = fit_vectorizer(train_docs)
+        model = train_knn(
+            vectorizer.transform_all(train_docs), [corpus.labels[i] for i in train_ids], schema, k=5
+        )
+        proba = model.predict_proba(vectorizer.transform_all(test_docs))
+        assert proba.shape == (150, 4)
+        digest = hashlib.sha256(np.ascontiguousarray(proba).tobytes()).hexdigest()
+        assert digest == "838c4eb2c78700e80f9efe38f17e7bc2e42ff29c11c4f17247be8e58c6385bea"
 
 
 class TestDecisionTree:
