@@ -8,8 +8,9 @@ from scipy import sparse
 from ..dataset import LabelSchema
 from .common import TrainingError, check_training_input, normalize_rows
 
-# query rows per similarity block: bounds the dense (block x n_train) array
-_BLOCK_ROWS = 64
+# query rows per similarity block: bounds the dense (block x n_train) array,
+# which is alive together with predict's transposed copy of the training matrix
+_BLOCK_ROWS = 32
 
 
 class KnnModel:
@@ -31,21 +32,24 @@ class KnnModel:
 
     def predict_proba(self, x: sparse.csr_matrix) -> np.ndarray:
         votes = np.zeros((x.shape[0], len(self.schema)))
+        xt = self.x.T.tocsr()
         for start in range(0, x.shape[0], _BLOCK_ROWS):
-            nearest = self.y[self._nearest(x[start : start + _BLOCK_ROWS])]
+            nearest = self.y[self._nearest(x[start : start + _BLOCK_ROWS], xt)]
             rows = votes[start : start + _BLOCK_ROWS]
             for label in range(rows.shape[1]):
                 rows[:, label] = (nearest == label).sum(axis=1)
         return normalize_rows(votes / self.k)
 
-    def _nearest(self, block: sparse.csr_matrix) -> np.ndarray:
+    def _nearest(self, block: sparse.csr_matrix, xt: sparse.csr_matrix) -> np.ndarray:
         """(rows, k) training rows of each query's k most similar, in no order.
 
-        A block's dense similarities die on return, before the next block's.
+        `block @ xt` sums each similarity over the shared features in ascending
+        order, as `self.x @ block.T` does. A block's dense similarities die on
+        return, before the next block's.
         """
         k, n_train = self.k, self.x.shape[0]
         norms = np.sqrt(block.multiply(block) @ np.ones(block.shape[1]))[:, None]
-        sims = (self.x @ block.T).T.toarray()
+        sims = (block @ xt).toarray()
         sims *= self._inv_norms
         nonzero = norms > 0
         np.divide(sims, norms, out=sims, where=nonzero)

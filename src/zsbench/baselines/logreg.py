@@ -17,7 +17,11 @@ class DivergenceError(TrainingError):
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row softmax computed in place: `logits` is overwritten and returned."""
-    logits -= logits.max(axis=-1, keepdims=True)
+    # row max column by column: exact in any order, and cheaper than a K-axis reduction
+    row_max = logits[..., 0].copy()
+    for column in range(1, logits.shape[-1]):
+        np.maximum(row_max, logits[..., column], out=row_max)
+    logits -= row_max[..., None]
     np.exp(logits, out=logits)
     return np.divide(logits, logits.sum(axis=-1, keepdims=True), out=logits)
 
@@ -30,21 +34,23 @@ def _loss_and_grads(weights, bias, x, xt, y_onehot, l2_lambda):
     A true-class probability underflowing to zero makes the loss infinite,
     which the training loop reports as divergence.
     """
-    probs = softmax(x @ weights + bias)
-    n = x.shape[0]
+    logits = x @ weights
+    probs = softmax(np.add(logits, bias, out=logits))
     with np.errstate(divide="ignore"):
-        ce = -np.log(probs[np.arange(n), y_onehot.argmax(axis=1)]).mean()
+        ce = -np.log(probs[y_onehot.astype(bool)]).mean()
     loss = ce + 0.5 * l2_lambda * float((weights * weights).sum())
-    delta = (probs - y_onehot) / n
-    return loss, xt @ delta + l2_lambda * weights, delta.sum(axis=0)
+    probs -= y_onehot
+    delta = np.divide(probs, x.shape[0], out=probs)
+    grad_w = xt @ delta
+    grad_w += l2_lambda * weights
+    return loss, grad_w, delta.sum(axis=0)
 
 
 class LogRegModel:
-    def __init__(self, schema: LabelSchema, weights: np.ndarray, bias: np.ndarray, loss_history: list[float]):
+    def __init__(self, schema: LabelSchema, weights: np.ndarray, bias: np.ndarray):
         self.schema = schema
         self.weights = weights  # shape (K, V); a view of the (V, K) array training updates
         self.bias = bias
-        self.loss_history = loss_history
 
     def predict_proba(self, x: sparse.csr_matrix) -> np.ndarray:
         return normalize_rows(softmax(x @ self.weights.T + self.bias))
@@ -79,12 +85,10 @@ def train_logreg(
     y_onehot = np.eye(k)[check_training_input(x, labels, schema)]
     weights, bias = np.zeros((x.shape[1], k)), np.zeros(k)
     xt = x.T
-    history = []
     for epoch in range(epochs):
         loss, grad_w, grad_b = _loss_and_grads(weights, bias, x, xt, y_onehot, l2_lambda)
         if not np.isfinite(loss):
             raise DivergenceError(epoch)
-        history.append(float(loss))
         weights -= np.multiply(learning_rate, grad_w, out=grad_w)
         bias -= learning_rate * grad_b
-    return LogRegModel(schema, weights.T, bias, history)
+    return LogRegModel(schema, weights.T, bias)

@@ -184,9 +184,9 @@ class ClassificationPool:
             try:
                 outcome = self._run_batch(repeat, batch_no)
             except Exception as exc:  # the entry is doomed: start no further requests
+                self._stopping.set()  # before the lock, which every job loop takes
                 with self._changed:
                     self._failure = self._failure or exc
-                    self._stopping.set()
                     self._changed.notify_all()
                 return
             with self._changed:
@@ -215,7 +215,7 @@ class ClassificationPool:
             merged.resolved.update(parsed.resolved)
             merged.diagnostics.merge(parsed.diagnostics)
             pending = [(i, t) for i, t in pending if i not in merged.resolved]
-            if not pending:
+            if not pending or self._stopping.is_set():
                 break
         return merged, n_requests
 
@@ -237,6 +237,8 @@ class ClassificationPool:
         except BaseException:  # Ctrl-C: start no further requests, then re-raise
             self._stopping.set()
             raise
+        if self._left[repeat]:  # a failing worker records its failure after it stops the pool
+            self._stop()
         if self._failure is None:
             outcomes, self._outcomes[repeat] = self._outcomes[repeat], None
             return outcomes

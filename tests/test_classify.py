@@ -422,7 +422,16 @@ class TestEntryPool:
         rules = KeywordRuleProvider(ecommerce_schema, FIXTURE_RULES, FIXTURE_DEFAULT_LABEL)
         lock = threading.Lock()
         sightings: dict[str, int] = {}
-        calls, calls_at_failure = [0], []
+        calls, calls_at_failure, calls_at_stop = [0], [], []
+
+        class StopRecordingEvent(threading.Event):
+            """The pool's stop flag, noting the request count once it is set."""
+
+            def set(self):
+                with lock:  # no request is counted between the flag and the note
+                    super().set()
+                    if not calls_at_stop:
+                        calls_at_stop.append(calls[0])
 
         class RepeatTwoRejectingProvider:
             """Rejects the key on the first batch of repeat 2, its 3rd sighting."""
@@ -449,13 +458,47 @@ class TestEntryPool:
             # the counts are batches of the whole entry: 4 repeats of 5
             aborted = r"^aborted after \d+/20 batches: bad key$"
             with pytest.raises(ClassificationAborted, match=aborted):
-                with ClassificationPool(
+                pool = ClassificationPool(
                     docs, ecommerce_schema, ECOMMERCE_TASK, config, RepeatTwoRejectingProvider()
-                ) as pool:
+                )
+                pool._stopping = StopRecordingEvent()  # first set by the failing worker
+                with pool:
                     for repeat in range(config.repeat_count):
                         classify_corpus(pool, repeat)
         finally:
             sys.setswitchinterval(interval)
         assert len(calls_at_failure) == 1
-        # only the batches in flight when the failure landed may send more
-        assert calls[0] - calls_at_failure[0] <= concurrency
+        # the pool sees the rejection only once the rejecting thread runs
+        # again, which on a loaded host can be after the other workers have
+        # sent several batches; from then on, each other worker may finish
+        # the one batch it has taken, without its re-ask
+        assert calls[0] - calls_at_stop[0] <= concurrency - 1
+
+    def test_failure_skips_the_re_ask_of_a_batch_in_flight(self, ecommerce_schema):
+        stopped = threading.Event()
+        calls = []
+
+        class StopSignallingEvent(threading.Event):
+            def set(self):
+                super().set()
+                stopped.set()
+
+        class Provider:
+            """Rejects batch 1; answers batch 0 with nothing once the pool stops."""
+
+            def complete(self, body):
+                prompt = body["messages"][1]["content"]
+                calls.append(prompt)
+                if prompt.startswith("1. "):
+                    raise AuthenticationError("bad key")
+                assert stopped.wait(timeout=10)
+                return "{}", {}
+
+        docs = make_docs(["usb hub", "a novel"])
+        config = LlmRunConfig(model="m", batch_size=1, concurrency=2, **ONCE)
+        with pytest.raises(ClassificationAborted, match="bad key"):
+            pool = ClassificationPool(docs, ecommerce_schema, ECOMMERCE_TASK, config, Provider())
+            pool._stopping = StopSignallingEvent()
+            with pool:
+                classify_corpus(pool, 0)
+        assert sorted(calls) == ["0. usb hub", "1. a novel"]

@@ -4,12 +4,14 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import sparse
 
 from conftest import DATA_DIR, ECOMMERCE_LABELS
 from zsbench.baselines.common import TrainingError
 from zsbench.baselines import logreg
-from zsbench.baselines.logreg import DivergenceError, _loss_and_grads, train_logreg
+from zsbench.baselines.logreg import DivergenceError, _loss_and_grads, softmax, train_logreg
 from zsbench.dataset import LabelSchema, load_corpus, stratified_split
 from zsbench.features import fit_vectorizer
 from zsbench.preprocess import CleaningPolicy, preprocess_corpus
@@ -23,11 +25,20 @@ SCHEMA2 = LabelSchema("t", ["a", "b"])
 
 
 class TestTraining:
-    def test_loss_strictly_decreases_on_separable_data(self):
+    def test_loss_strictly_decreases_on_separable_data(self, monkeypatch):
+        losses = []
+
+        def recording(*args):
+            result = _loss_and_grads(*args)
+            losses.append(result[0])
+            return result
+
+        monkeypatch.setattr(logreg, "_loss_and_grads", recording)
         features = csr([[1, 0], [0.9, 0.1], [0, 1], [0.1, 0.9]])
         labels = ["a", "a", "b", "b"]
-        model = train_logreg(features, labels, SCHEMA2, learning_rate=0.1, epochs=50)
-        diffs = np.diff(model.loss_history)
+        train_logreg(features, labels, SCHEMA2, learning_rate=0.1, epochs=50)
+        assert len(losses) == 50
+        diffs = np.diff(losses)
         assert (diffs < 0).all()
 
     def test_zero_epochs_gives_uniform_scores(self):
@@ -88,6 +99,29 @@ class TestTraining:
         calls.clear()
         train_logreg(features, ["a", "b", "b"], SCHEMA2, epochs=0)
         assert calls == []
+
+
+@st.composite
+def logit_rows(draw):
+    """(N, K) logits for K from 1 to 12, rich in tied maxima and extremes."""
+    k = draw(st.integers(1, 12))
+    value = st.sampled_from([0.0, -0.0, 1.0, 3.5, 1e300, -1e300, -np.inf]) | st.floats(
+        -800.0, 800.0
+    )
+    rows = draw(st.lists(st.lists(value, min_size=k, max_size=k), min_size=1, max_size=8))
+    return np.array(rows, dtype=float)
+
+
+class TestSoftmax:
+    @given(logits=logit_rows())
+    def test_column_max_matches_the_axis_reduction_byte_for_byte(self, logits):
+        expected = logits.copy()
+        with np.errstate(invalid="ignore"):  # a row of -inf gives NaN both ways
+            expected -= expected.max(axis=-1, keepdims=True)
+            np.exp(expected, out=expected)
+            np.divide(expected, expected.sum(axis=-1, keepdims=True), out=expected)
+            got = softmax(logits.copy())
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestPinnedOutput:
