@@ -152,7 +152,7 @@ class ClassificationPool:
         # guards the jobs and the three lists above; notified when a batch ends
         self._lock = threading.RLock()
         self._changed = threading.Condition(self._lock)
-        # set once the entry ends, fails or is interrupted: start no further batch
+        # set once the entry ends, fails or is interrupted: start no further batch or re-ask
         self._stopping = threading.Event()
 
     def __enter__(self) -> "ClassificationPool":
