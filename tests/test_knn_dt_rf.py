@@ -68,6 +68,19 @@ def random_dataset(rng, n, dim, labels):
     return features, y
 
 
+def fixture_tfidf():
+    """TF-IDF train and test matrices, train labels and schema of the fixture
+    corpus's split (test_size 150, seed 42)."""
+    schema = LabelSchema("e-commerce", ECOMMERCE_LABELS)
+    corpus = load_corpus(DATA_DIR / "fixture_corpus.csv", "csv", "text", "category", schema)
+    train_ids, test_ids = stratified_split(corpus, 150, 42)
+    tokens = preprocess_corpus([corpus.texts[i] for i in train_ids + test_ids], CleaningPolicy())
+    train_docs, test_docs = tokens[: len(train_ids)], tokens[len(train_ids) :]
+    vectorizer = fit_vectorizer(train_docs)
+    labels = [corpus.labels[i] for i in train_ids]
+    return vectorizer.transform_all(train_docs), vectorizer.transform_all(test_docs), labels, schema
+
+
 @st.composite
 def knn_cases(draw):
     """(train rows, labels, k, query rows) rich in similarity ties: few
@@ -155,19 +168,44 @@ class TestKnn:
         """KNN at k=5 on the fixture corpus's TF-IDF split (test_size 150,
         seed 42, so several query blocks): any change to the arithmetic of
         the similarities or the vote shows as a changed sha256."""
-        schema = LabelSchema("e-commerce", ECOMMERCE_LABELS)
-        corpus = load_corpus(DATA_DIR / "fixture_corpus.csv", "csv", "text", "category", schema)
-        train_ids, test_ids = stratified_split(corpus, 150, 42)
-        tokens = preprocess_corpus([corpus.texts[i] for i in train_ids + test_ids], CleaningPolicy())
-        train_docs, test_docs = tokens[: len(train_ids)], tokens[len(train_ids) :]
-        vectorizer = fit_vectorizer(train_docs)
-        model = train_knn(
-            vectorizer.transform_all(train_docs), [corpus.labels[i] for i in train_ids], schema, k=5
-        )
-        proba = model.predict_proba(vectorizer.transform_all(test_docs))
+        x, x_test, labels, schema = fixture_tfidf()
+        proba = train_knn(x, labels, schema, k=5).predict_proba(x_test)
         assert proba.shape == (150, 4)
         digest = hashlib.sha256(np.ascontiguousarray(proba).tobytes()).hexdigest()
         assert digest == "838c4eb2c78700e80f9efe38f17e7bc2e42ff29c11c4f17247be8e58c6385bea"
+
+
+@pytest.mark.parametrize(
+    "trainer, kwargs, nodes_sha, proba_sha",
+    [
+        (
+            train_dt,
+            {},
+            "213a62b8d1faa9aeef203b687b1a7f1c76830d9109f8cfb8e02085c2b7ccd9d4",
+            "8900eb86689d3c69ee2bde231d220722155a4859d8b7094e23d5331318dc1d0e",
+        ),
+        (
+            train_rf,
+            {"n_trees": 100, "seed": 7},
+            "9ae92be62e4035fe06e88a26e43e54019d7427bed0393928b2a4729ab2cee709",
+            "c167dde857b4ac7ec6f2c21e14b6df8f5a0991fc3d2fc35a720d699de1929154",
+        ),
+    ],
+    ids=["dt", "rf"],
+)
+def test_fixture_forests_are_pinned(trainer, kwargs, nodes_sha, proba_sha):
+    """DT and RF on the fixture corpus's TF-IDF split, as KNN's pin above: a
+    change to the grower that moves a node, a threshold bit or a leaf
+    distribution, or to the routing, shows as a changed sha256."""
+    x, x_test, labels, schema = fixture_tfidf()
+    model = trainer(x, labels, schema, **kwargs)
+    nodes = hashlib.sha256()
+    for array in (model.feature, model.threshold, model.left, model.n_samples, model.value):
+        nodes.update(np.ascontiguousarray(array).tobytes())
+    proba = model.predict_proba(x_test)
+    assert proba.shape == (150, 4)
+    assert nodes.hexdigest() == nodes_sha
+    assert hashlib.sha256(np.ascontiguousarray(proba).tobytes()).hexdigest() == proba_sha
 
 
 class TestDecisionTree:
