@@ -2,12 +2,12 @@
 
 `best_splits` scores a batch of nodes, possibly of different trees, in one
 vectorised pass. For each (node, candidate) pair, the column's stored
-entries are gathered, already in value order, and those whose row is in the
-node are kept, weighted by how often the tree drew the row. A feature's
-implicit zeros are never sorted: they enter as one zero-block entry with
-value 0, placed after the negative values, whose class counts are the
-node's counts minus those of the pair's stored entries, and which is left
-out when it holds no row. Negative values and stored zeros therefore split
+entries are gathered, already in value order, and those whose row carries
+the node's label in its tree are kept, weighted by how often the tree drew
+the row. A feature's implicit zeros are never sorted: they enter as one
+zero-block entry with value 0, placed after the negative values, whose
+class counts are the node's counts minus those of the pair's stored
+entries, and which is left out when it holds no row. Negative values and stored zeros therefore split
 exactly as in a dense search. One cumsum gives the class counts left of
 every boundary, a point where the value strictly increases within a pair,
 and every boundary is scored at once; only the final scan of each node's
@@ -46,31 +46,30 @@ def _gini_rows(counts: np.ndarray, total: np.ndarray) -> np.ndarray:
 def best_splits(
     xs: sparse.csc_matrix,
     y: np.ndarray,
-    rows: np.ndarray,
-    weights: np.ndarray,
-    row_ptr: np.ndarray,
+    label: np.ndarray,
+    weight: np.ndarray,
+    nodes: np.ndarray,
     features: np.ndarray,
     feature_ptr: np.ndarray,
     counts: np.ndarray,
     gini: np.ndarray,
     min_leaf: int,
-    slot: np.ndarray,
 ):
     """Best split of each node of a batch, or None when no node splits.
 
-    Node j holds rows[row_ptr[j]:row_ptr[j+1]], distinct, each weighted by how
-    often the tree drew it; its candidates are features[feature_ptr[j]:
-    feature_ptr[j+1]], ascending; counts[j] are its class counts and gini[j]
-    their gini. xs lists each column's entries by value (`sort_columns`).
-    `slot` is an all-zero scratch array with one entry per training row,
-    left all zero. Thresholds are midpoints between consecutive distinct
-    values of a feature among the node's rows; rows with value <= threshold
-    go left. A node splits only when its best weighted child gini is below
-    its own gini by more than 1e-12.
+    nodes[j] is (tree t, label l): node j holds the rows r with label[t, r]
+    == l, each weighted by weight[t, r], how often the tree drew it. Its
+    candidates are features[feature_ptr[j]:feature_ptr[j+1]], ascending;
+    counts[j] are its class counts and gini[j] their gini. xs lists each
+    column's entries by value (`sort_columns`). Thresholds are midpoints
+    between consecutive distinct values of a feature among the node's rows;
+    rows with value <= threshold go left. A node splits only when its best
+    weighted child gini is below its own gini by more than 1e-12.
 
-    Returns (nodes, feature, threshold, left counts, goes_left), one entry
-    per node that splits, in node order; goes_left[i] tells where rows[i]
-    goes and is False for the rows of a node that does not split.
+    Returns (nodes, feature, threshold, left counts, cells, split), one entry
+    per node that splits, in node order, then the rows that go to the other
+    side than their split feature's zeros: cells index them in the flattened
+    label array, and split[i] is the split that sends cells[i] away.
     """
     n_nodes, n_classes = counts.shape
     n = counts.sum(axis=1)
@@ -84,21 +83,14 @@ def best_splits(
     pos = concat_ranges(xs.indptr[features], lengths)
     entry_rows = xs.indices[pos]
 
-    # 1 + the index into `rows` of each entry's row within its node, 0 outside
-    at = np.empty(len(pos), dtype=np.intp)
-    entry_ptr = np.concatenate(([0], np.cumsum(lengths)))[feature_ptr].tolist()
-    row_bounds = row_ptr.tolist()
-    for j in range(n_nodes):
-        node_rows = rows[row_bounds[j] : row_bounds[j + 1]]
-        slot[node_rows] = np.arange(row_bounds[j] + 1, row_bounds[j + 1] + 1)
-        at[entry_ptr[j] : entry_ptr[j + 1]] = slot[entry_rows[entry_ptr[j] : entry_ptr[j + 1]]]
-        slot[node_rows] = 0
-    inside = at > 0
-    entry_seg, at, stored = entry_seg[inside], at[inside] - 1, xs.data[pos[inside]]
+    # an entry is in its pair's node when its row carries the node's label
+    cell = np.repeat(nodes[seg_node, 0] * label.shape[1], lengths) + entry_rows
+    inside = np.take(label, cell) == np.repeat(nodes[seg_node, 1], lengths)
+    entry_seg, cell, stored = entry_seg[inside], cell[inside], xs.data[pos[inside]]
+    labels = y[entry_rows[inside]]
     # per-entry arrays are dropped once read: they are most of a batch's memory
     del pos, entry_rows, inside
-    w = weights[at]
-    labels = y[rows[at]]
+    w = np.take(weight, cell)
 
     # each feature's zeros are one entry: what its stored entries leave over,
     # placed after the feature's negative values
@@ -164,14 +156,14 @@ def best_splits(
     picked = hits[np.searchsorted(hits, runs[chosen])]
     b = boundary[picked]
     threshold = (values[b] + values[b + 1]) / 2.0
-    split_nodes = node[picked]
 
-    # a row goes left when its value, 0 unless stored, is <= the threshold
-    node_threshold = np.full(n_nodes, np.nan)
-    node_threshold[split_nodes] = threshold
-    goes_left = np.repeat(0.0 <= node_threshold, np.diff(row_ptr))
-    split_seg = np.zeros(n_seg, dtype=bool)
-    split_seg[seg[b]] = True
-    in_split = split_seg[entry_seg]
-    goes_left[at[in_split]] = stored[in_split] <= node_threshold[seg_node[entry_seg[in_split]]]
-    return split_nodes, features[seg[b]], threshold, np.take(left, picked, axis=0), goes_left
+    # a row goes left when its value, 0 unless stored, is <= the threshold,
+    # so only a stored value can send a row away from its feature's zeros
+    split_of_seg = np.full(n_seg, -1)
+    split_of_seg[seg[b]] = np.arange(len(b))
+    split = split_of_seg[entry_seg]
+    mine = split >= 0
+    split, cell = split[mine], cell[mine]
+    away = (stored[mine] <= threshold[split]) != (0.0 <= threshold[split])
+    left = np.take(left, picked, axis=0)
+    return node[picked], features[seg[b]], threshold, left, cell[away], split[away]

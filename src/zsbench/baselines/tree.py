@@ -18,8 +18,8 @@ All trees grow in lockstep. Each keeps its own depth-first stack and RNG
 and reaches its nodes in the pre-order of a recursive grower, so it draws
 the same candidates and grows the same tree. A step takes the next node of
 every tree and scores them together with `splitter.best_splits`, at most
-`_SEARCH_NODES` per search. The trees' rows are laid end to end in one
-array and a node is a range of it, which a split partitions in place.
+`_SEARCH_NODES` per search. Each tree labels every row it drew with the
+leaf that holds it, and a split relabels the rows that leave its label.
 
 A forest is one set of node arrays (feature, threshold, left, n_samples
 and value), not an object per node. Node t is tree t's root; children are
@@ -37,7 +37,7 @@ from scipy import sparse
 
 from ..dataset import LabelSchema
 from .common import TrainingError, check_training_input, normalize_rows
-from .splitter import best_splits, concat_ranges, sort_columns
+from .splitter import best_splits, sort_columns
 
 
 def _csc(x: sparse.csr_matrix) -> sparse.csc_matrix:
@@ -56,7 +56,7 @@ def _column(xc: sparse.csc_matrix, feature: int) -> np.ndarray:
 
 
 # nodes scored by one split search; bounds the search's temporaries
-_SEARCH_NODES = 25
+_SEARCH_NODES = 50
 
 
 def _new_nodes(counts: np.ndarray, depth: np.ndarray, max_depth: int, min_leaf: int):
@@ -71,63 +71,54 @@ def _new_nodes(counts: np.ndarray, depth: np.ndarray, max_depth: int, min_leaf: 
 def _grow_forest(
     xc: sparse.csc_matrix,
     y: np.ndarray,
-    samples,
+    weight: np.ndarray,
     n_classes: int,
     max_depth: int,
     min_leaf: int,
     pickers: list,
 ) -> tuple[np.ndarray, ...]:
-    """Grow one tree per (rows, weights) sample, all trees in lockstep; the
-    forest's node arrays (feature, threshold, left, n_samples, value).
+    """Grow tree t on the rows r with weight[t, r] > 0, drawn that often, all
+    trees in lockstep; the forest's node arrays (feature, threshold, left,
+    n_samples, value).
 
-    A split partitions its node's range of `rows` into its left then its
-    right rows. Each tree keeps a depth-first stack of the nodes it may still
-    split. A step pops the next node of every tree and draws its candidates
-    from the tree's picker.
+    label[t, r] is the label of the leaf of tree t that holds row r, -1 for
+    a row the tree did not draw. A split hands its node's label to the child
+    on the side of the split feature's zeros and labels the other child with
+    its node number, so it relabels only rows whose stored value sends them
+    away from the zeros. Each tree keeps a depth-first stack of the nodes it
+    may still split. A step pops the next node of every tree and draws its
+    candidates from the tree's picker.
     """
-    tree_rows, tree_weights = zip(*samples)
-    bounds = np.cumsum([0] + [len(r) for r in tree_rows])
-    counts = np.array([
-        np.bincount(y[r], weights=w, minlength=n_classes) for r, w in zip(tree_rows, tree_weights)
-    ])
-    rows, weights = np.concatenate(tree_rows), np.concatenate(tree_weights)
-    del tree_rows, tree_weights
-    value, n, gini, may_split = _new_nodes(counts, np.zeros(len(counts)), max_depth, min_leaf)
+    n_trees = len(weight)
+    counts = np.array([np.bincount(y, weights=w, minlength=n_classes) for w in weight])
+    label = np.where(weight > 0, np.arange(n_trees, dtype=np.int32)[:, None], np.int32(-1))
+    value, n, gini, may_split = _new_nodes(counts, np.zeros(n_trees), max_depth, min_leaf)
     # node t is tree t's root; each search batch adds a block of child nodes
     # and a record (parents, feature, threshold, first child)
-    n_nodes, values, sizes, records = len(counts), [value], [n], []
-    # a stack entry: (node, start, end, depth, gini, class counts)
-    stacks = [
-        [(t, bounds[t], bounds[t + 1], 0, gini[t], counts[t])] if may_split[t] else []
-        for t in range(n_nodes)
-    ]
+    n_nodes, values, sizes, records = n_trees, [value], [n], []
+    # a stack entry: (node, label, depth, gini, class counts)
+    stacks = [[(t, t, 0, gini[t], counts[t])] if may_split[t] else [] for t in range(n_trees)]
     xs = sort_columns(xc)
-    slot = np.zeros(xc.shape[0], dtype=np.intp)
 
     while current := [(t, stack.pop()) for t, stack in enumerate(stacks) if stack]:
         for first in range(0, len(current), _SEARCH_NODES):
             trees, entries = zip(*current[first : first + _SEARCH_NODES])
-            nodes, *fields = zip(*entries)
-            start, end, depth, gini, counts = map(np.array, fields)
-            size = end - start
-            row_ptr = np.concatenate(([0], np.cumsum(size)))
-            index = concat_ranges(start, size)
+            nodes, labels, *fields = zip(*entries)
+            depth, gini, counts = map(np.array, fields)
             candidates = [pickers[t]() for t in trees]
             found = best_splits(
-                xs, y, rows[index], weights[index], row_ptr, np.concatenate(candidates),
-                np.cumsum([0] + [len(c) for c in candidates]), counts, gini, min_leaf, slot,
+                xs, y, label, weight, np.column_stack((trees, labels)), np.concatenate(candidates),
+                np.cumsum([0] + [len(c) for c in candidates]), counts, gini, min_leaf,
             )
             if found is None:
                 continue
-            split, feature, threshold, left, goes_left = found
+            split, feature, threshold, left, moved_cells, moved_split = found
 
-            # partition each node's rows, left rows first
-            node_of = np.repeat(np.arange(len(entries)), size)
-            order = np.argsort(2 * node_of + ~goes_left, kind="stable")
-            rows[index], weights[index] = rows[index[order]], weights[index[order]]
-            middle = start[split] + np.add.reduceat(goes_left, row_ptr[:-1], dtype=np.intp)[split]
-
-            # the i-th split node's children are nodes n_nodes + 2i and n_nodes + 2i + 1
+            # the i-th split node's children are nodes n_nodes + 2i and n_nodes + 2i + 1;
+            # the one away from the zeros, n_nodes + 2i + zero_left, takes its number as label
+            zero_left = (0.0 <= threshold).astype(np.intp)
+            away = 2 * np.arange(len(split)) + zero_left
+            np.put(label, moved_cells, n_nodes + away[moved_split])
             child_counts = np.empty((2 * len(split), n_classes))
             child_counts[0::2], child_counts[1::2] = left, counts[split] - left
             value, n, child_gini, child_may_split = _new_nodes(
@@ -136,13 +127,14 @@ def _grow_forest(
             values.append(value)
             sizes.append(n)
             records.append((np.take(nodes, split), feature, threshold, n_nodes))
-            for i, (j, m) in enumerate(zip(split.tolist(), middle.tolist())):
+            for i, (j, a) in enumerate(zip(split.tolist(), away.tolist())):
                 # right first, so the tree grows the left subtree first
-                for c, lo, hi in ((2 * i + 1, m, end[j]), (2 * i, start[j], m)):
+                for c in (2 * i + 1, 2 * i):
                     if child_may_split[c]:
-                        stacks[trees[j]].append(
-                            (n_nodes + c, lo, hi, depth[j] + 1, child_gini[c], child_counts[c])
-                        )
+                        stacks[trees[j]].append((
+                            n_nodes + c, n_nodes + c if c == a else labels[j],
+                            depth[j] + 1, child_gini[c], child_counts[c],
+                        ))
             n_nodes += 2 * len(split)
 
     feature = np.full(n_nodes, -1, dtype=np.int32)
@@ -226,22 +218,18 @@ def train_rf(
     n, v = xc.shape
     m = max(1, math.isqrt(v))
     all_ids = np.arange(v)
-    ones = np.ones(n, dtype=np.int32)
 
     rngs = [np.random.default_rng([seed, t]) for t in range(n_trees)]
-
-    def samples():
-        """Each tree's drawn rows, once each and ascending, and how often it drew them."""
-        for rng in rngs:
-            drawn = np.bincount(rng.integers(0, n, size=n), minlength=n) if bootstrap else ones
-            rows = np.flatnonzero(drawn)
-            yield rows, drawn[rows].astype(np.int32)
-
+    # how often each tree drew each row
+    weight = np.ones((n_trees, n), dtype=np.int32)
+    if bootstrap:
+        for t, rng in enumerate(rngs):
+            weight[t] = np.bincount(rng.integers(0, n, size=n), minlength=n)
     if feature_subsample == "sqrt":
         pickers = [lambda rng=rng: np.sort(rng.choice(v, size=m, replace=False)) for rng in rngs]
     else:
         pickers = [lambda: all_ids] * n_trees
-    nodes = _grow_forest(xc, y, samples(), len(schema), max_depth, min_leaf, pickers)
+    nodes = _grow_forest(xc, y, weight, len(schema), max_depth, min_leaf, pickers)
     return ForestModel(schema, n_trees, *nodes)
 
 
