@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from scipy import sparse
 import knn_oracle
 from conftest import DATA_DIR, ECOMMERCE_LABELS
 from dense_cart import forest_trees
+from test_tree_sparse import sparse_problems
+from zsbench.baselines import tree
 from zsbench.baselines.common import TrainingError
 from zsbench.baselines.knn import train_knn
 from zsbench.baselines.logreg import train_logreg
@@ -79,6 +82,11 @@ def fixture_tfidf():
     vectorizer = fit_vectorizer(train_docs)
     labels = [corpus.labels[i] for i in train_ids]
     return vectorizer.transform_all(train_docs), vectorizer.transform_all(test_docs), labels, schema
+
+
+def node_arrays(model) -> tuple[np.ndarray, ...]:
+    """A fitted forest's node arrays, in the order its constructor takes them."""
+    return model.feature, model.threshold, model.left, model.n_samples, model.value
 
 
 @st.composite
@@ -200,7 +208,7 @@ def test_fixture_forests_are_pinned(trainer, kwargs, nodes_sha, proba_sha):
     x, x_test, labels, schema = fixture_tfidf()
     model = trainer(x, labels, schema, **kwargs)
     nodes = hashlib.sha256()
-    for array in (model.feature, model.threshold, model.left, model.n_samples, model.value):
+    for array in node_arrays(model):
         nodes.update(np.ascontiguousarray(array).tobytes())
     proba = model.predict_proba(x_test)
     assert proba.shape == (150, 4)
@@ -299,6 +307,29 @@ class TestRandomForest:
         assert [tree_structure(t) for t in forest_trees(m1)] != [
             tree_structure(t) for t in forest_trees(m2)
         ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        problem=sparse_problems(),
+        n_trees=st.integers(1, 8),
+        min_leaf=st.integers(1, 3),
+        max_depth=st.integers(1, 8),
+        seed=st.integers(0, 2**31),
+    )
+    def test_search_cap_never_changes_a_forest(self, problem, n_trees, min_leaf, max_depth, seed):
+        # negative values put some thresholds below 0, so the zeros go right
+        # and the rows a split relabels are those with small stored values
+        _, x, y = problem
+        labels = [SCHEMA3.labels[i] for i in y]
+        forests = []
+        for cap in (1, 2, 64):
+            with mock.patch.object(tree, "_SEARCH_NODES", cap):
+                model = train_rf(
+                    x, labels, SCHEMA3, n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf,
+                    bootstrap=True, seed=seed,
+                )
+            forests.append([np.ascontiguousarray(a).tobytes() for a in node_arrays(model)])
+        assert forests[0] == forests[1] == forests[2]
 
     @pytest.mark.parametrize("min_leaf", [0, -1])
     def test_rejects_min_leaf_below_one(self, min_leaf):
