@@ -14,14 +14,15 @@ its figures are the medians over its samples. S defaults to ``run_seconds`` in
 ``BENCHMARK.json``. A pair is one run of each commit; the order alternates
 (ABBA): BASE runs first in even pairs, HEAD in odd ones.
 
-The result goes to ``bench/PAIR_<base>_<head>.json`` (short shas): every
-run's figures and report sha256; per commit the median and quartiles over
-its runs of ``run_s``, ``setup_s`` and ``peak_rss_mb``; per metric the pairs
-HEAD won (read lower) and the verdict of the claim rule: HEAD wins at least
-nine tenths of the pairs and its median is below BASE's by more than BASE's
-interquartile range. The script exits 1 when a sample fails (a crash, or a
-predictor whose status is not ``ok``), when a run's samples disagree on
-their reports, or when the two commits' report sha256s differ.
+The result goes to ``bench/PAIR_<base>_<head>_<workload>_<seed>.json``
+(short shas): every run's figures and report sha256; per commit the median
+and quartiles over its runs of ``run_s``, ``setup_s`` and ``peak_rss_mb``;
+per metric the pairs HEAD won (read lower) and the verdict of the claim
+rule: HEAD wins at least nine tenths of the pairs and its median is below
+BASE's by more than BASE's interquartile range. The script exits 1 when a
+sample fails (a crash, or a predictor whose status is not ``ok``), when a
+run's samples disagree on their reports, or when the two commits' report
+sha256s differ.
 
 perfbench's files are imported, never changed: ``corpus.py`` generates the
 inputs and ``run.py`` supplies the workloads, ``write_inputs`` and
@@ -174,7 +175,7 @@ def main() -> int:
         "cpu_count": os.cpu_count(), "report_sha256": side_shas, "metrics": verdicts(runs),
         "runs": runs, "problems": problems,
     }
-    out = ROOT / "bench" / f"PAIR_{shas['base']}_{shas['head']}.json"
+    out = ROOT / "bench" / f"PAIR_{shas['base']}_{shas['head']}_{args.workload}_{args.seed}.json"
     out.write_text(json.dumps(result, indent=2) + "\n", "utf-8")
     print(f"wrote {out.relative_to(ROOT)}")
     for m, v in result["metrics"].items():
