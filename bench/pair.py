@@ -18,8 +18,8 @@ The result goes to ``bench/PAIR_<base>_<head>_<workload>_<seed>.json``
 (short shas): every run's figures and report sha256; per commit the median
 and quartiles over its runs of ``run_s``, ``setup_s`` and ``peak_rss_mb``;
 per metric the pairs HEAD won (read lower) and the verdict of the claim
-rule: HEAD wins at least nine tenths of the pairs and its median is below
-BASE's by more than BASE's interquartile range. The script exits 1 when a
+rule: at least ten pairs, HEAD wins at least nine tenths of them, and its
+median is below BASE's by more than BASE's interquartile range. The script exits 1 when a
 sample fails (a crash, or a predictor whose status is not ``ok``), when a
 run's samples disagree on their reports, or when the two commits' report
 sha256s differ.
@@ -50,7 +50,7 @@ import corpus as gen  # noqa: E402 - perfbench's generator, found through the pa
 import run as perfbench  # noqa: E402
 
 METRICS = ("run_s", "setup_s", "peak_rss_mb")  # lower is better for each
-WIN_SHARE = 0.9
+MIN_PAIRS, WIN_SHARE = 10, 0.9  # the claim rule: at least 9 wins in every 10 pairs
 
 
 def git(*args: str) -> str:
@@ -107,7 +107,7 @@ def verdicts(runs: list[dict]) -> dict:
         wins = sum(hv < bv for bv, hv in zip(base, head))
         out[m] = {
             "base": b, "head": h, "head_wins": wins, "pairs": len(runs),
-            "gain_shown": wins >= math.ceil(WIN_SHARE * len(runs))
+            "gain_shown": len(runs) >= MIN_PAIRS and wins >= math.ceil(WIN_SHARE * len(runs))
             and b["median"] - h["median"] > b["q3"] - b["q1"],
         }
     return out

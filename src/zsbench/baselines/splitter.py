@@ -7,11 +7,12 @@ the node's label in its tree are kept, weighted by how often the tree drew
 the row. A feature's implicit zeros are never sorted: they enter as one
 zero-block entry with value 0, placed after the negative values, whose
 class counts are the node's counts minus those of the pair's stored
-entries, and which is left out when it holds no row. Negative values and stored zeros therefore split
-exactly as in a dense search. One cumsum gives the class counts left of
-every boundary, a point where the value strictly increases within a pair,
-and every boundary is scored at once; only the final scan of each node's
-candidates, in ascending feature order, is a Python loop.
+entries, and which is left out when it holds no row. Negative values and
+stored zeros therefore split exactly as in a dense search. One cumsum gives
+the class counts left of every boundary, a point where the value strictly
+increases within a pair, and every boundary is scored at once; only the
+final scan of each node's candidates, in ascending feature order, is a
+Python loop.
 """
 
 from __future__ import annotations
