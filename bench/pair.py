@@ -128,8 +128,11 @@ def main() -> int:
     seconds = args.seconds
     if seconds is None:
         seconds = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))["run_seconds"]
-    shas = {side: git("rev-parse", "--short", f"{ref}^{{commit}}")
-            for side, ref in (("base", args.base), ("head", args.head))}
+    try:
+        shas = {side: git("rev-parse", "--short", f"{ref}^{{commit}}")
+                for side, ref in (("base", args.base), ("head", args.head))}
+    except subprocess.CalledProcessError as exc:
+        parser.error(f"not a commit: {exc.cmd[-1].removesuffix('^{commit}')}")
 
     wl = perfbench.WORKLOADS[args.workload]
     corpus = gen.generate(wl.spec, args.seed)
@@ -165,7 +168,8 @@ def main() -> int:
                 git("worktree", "remove", "--force", str(path))
         shutil.rmtree(tmp, ignore_errors=True)
 
-    side_shas = {side: sorted({r[side]["report_sha256"] for r in runs}) for side in shas}
+    # a run whose every sample crashed has no sha; the crash is already a problem
+    side_shas = {side: sorted({r[side]["report_sha256"] for r in runs} - {None}) for side in shas}
     if side_shas["base"] != side_shas["head"] or len(side_shas["base"]) != 1:
         problems.append(f"report sha256s differ: base {side_shas['base']}, "
                         f"head {side_shas['head']}")
