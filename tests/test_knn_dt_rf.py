@@ -11,8 +11,8 @@ from scipy import sparse
 
 import knn_oracle
 from conftest import DATA_DIR, ECOMMERCE_LABELS
-from dense_cart import forest_trees
-from test_tree_sparse import sparse_problems
+from dense_cart import dense_forest, forest_trees
+from test_tree_sparse import assert_same_forest, sparse_problems
 from zsbench.baselines import tree
 from zsbench.baselines.common import TrainingError
 from zsbench.baselines.knn import train_knn
@@ -314,20 +314,28 @@ class TestRandomForest:
         n_trees=st.integers(1, 8),
         min_leaf=st.integers(1, 3),
         max_depth=st.integers(1, 8),
+        subsample=st.sampled_from(["all", "sqrt"]),
         seed=st.integers(0, 2**31),
     )
-    def test_search_cap_never_changes_a_forest(self, problem, n_trees, min_leaf, max_depth, seed):
+    def test_search_cap_never_changes_a_forest(
+        self, problem, n_trees, min_leaf, max_depth, subsample, seed
+    ):
         # negative values put some thresholds below 0, so the zeros go right
-        # and the rows a split relabels are those with small stored values
-        _, x, y = problem
+        # and the rows a split relabels are those with small stored values;
+        # every cap must grow the dense reference's forest
+        xd, x, y = problem
         labels = [SCHEMA3.labels[i] for i in y]
+        reference = dense_forest(
+            xd, y, len(SCHEMA3), n_trees, max_depth, min_leaf, subsample, True, seed
+        )
         forests = []
         for cap in (1, 2, 64):
             with mock.patch.object(tree, "_SEARCH_NODES", cap):
                 model = train_rf(
                     x, labels, SCHEMA3, n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf,
-                    bootstrap=True, seed=seed,
+                    feature_subsample=subsample, bootstrap=True, seed=seed,
                 )
+            assert_same_forest(model, reference, x)
             forests.append([np.ascontiguousarray(a).tobytes() for a in node_arrays(model)])
         assert forests[0] == forests[1] == forests[2]
 
