@@ -85,8 +85,10 @@ def best_splits(
     entry_rows = xs.indices[pos]
 
     # an entry is in its pair's node when its row carries the node's label
-    cell = np.repeat(nodes[seg_node, 0] * label.shape[1], lengths) + entry_rows
-    inside = np.take(label, cell) == np.repeat(nodes[seg_node, 1], lengths)
+    tree, node_label = nodes[seg_node].T
+    cell = np.repeat(tree * label.shape[1], lengths)
+    cell += entry_rows
+    inside = np.take(label, cell) == np.repeat(node_label.astype(label.dtype), lengths)
     entry_seg, cell, stored = entry_seg[inside], cell[inside], xs.data[pos[inside]]
     labels = y[entry_rows[inside]]
     # per-entry arrays are dropped once read: they are most of a batch's memory
