@@ -1,6 +1,6 @@
 """Paired benchmark runs of two commits: the perf-claim rule as a script.
 
-    python3 bench/pair.py BASE HEAD --workload NAME --seed N [--pairs 10] [--seconds S]
+    python3 bench/pair.py BASE HEAD --workload NAME --seed N [--pairs 10]
 
 Run from anywhere inside a zsbench checkout. Each commit is checked out with
 ``git worktree`` into a temporary directory, every ``__pycache__`` under it is
@@ -9,24 +9,26 @@ sample compiles zsbench from that commit's source.
 
 A run is what ``perfbench/run.py --workload NAME --seed N --seconds S``
 measures untraced (perfbench's ``measure``, which starts each sample with
-``run_sample``): fresh interpreters until the next would overrun S seconds;
-its figures are the medians over its samples. S defaults to ``run_seconds`` in
-``BENCHMARK.json``. A pair is one run of each commit; the order alternates
-(ABBA): BASE runs first in even pairs, HEAD in odd ones.
+``run_sample``), with S the benchmark's ``run_seconds`` from ``BENCHMARK.json``:
+fresh interpreters until the next would overrun S seconds; its figures are
+the medians over its samples. A pair is one run of each commit; the order
+alternates (ABBA): BASE runs first in even pairs, HEAD in odd ones.
 
 The result goes to ``bench/PAIR_<base>_<head>_<workload>_<seed>.json``
 (short shas): every run's figures and report sha256; per commit the median
 and quartiles over its runs of ``run_s``, ``setup_s`` and ``peak_rss_mb``;
 per metric the pairs HEAD won (read lower) and the verdict of the claim
 rule: at least ten pairs, HEAD wins at least nine tenths of them, and its
-median is below BASE's by more than BASE's interquartile range. The script exits 1 when a
-sample fails (a crash, or a predictor whose status is not ``ok``), when a
-run's samples disagree on their reports, or when the two commits' report
-sha256s differ.
+median is below BASE's by more than BASE's interquartile range. Every
+sample goes through perfbench's ``check_sample`` (predictor status, MNB's
+floor, the mock LLM's keyword rule, and on llm-endpoint the audit log against
+the stub's requests and its replay, with the sample's own commit's parser) and
+``check_identical``. The script exits 1 when a sample fails one of these checks
+or crashes, or when the two commits' report sha256s differ.
 
 perfbench's files are imported, never changed: ``corpus.py`` generates the
-inputs and ``run.py`` supplies the workloads, ``write_inputs`` and
-``measure`` with its ``run_sample``.
+inputs and ``run.py`` supplies the workloads, ``write_inputs``, ``measure``
+with its ``run_sample``, and the checks.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
+sys.dont_write_bytecode = True  # the checks import zsbench from a worktree, which stays cache-free
 
 import corpus as gen  # noqa: E402 - perfbench's generator, found through the path above
 import run as perfbench  # noqa: E402
@@ -66,26 +69,46 @@ def checkout(sha: str, path: Path) -> None:
 
 
 def measure_run(side: Path, wl, corpus, name: str, work: Path, env: dict, stub,
-                seconds: float) -> tuple[dict, list[str]]:
-    """(one run's figures, problems found) for the checkout at `side`."""
+                seconds: float) -> list:
+    """One run's samples of the checkout at `side`; their outputs stay under `work`."""
     work.mkdir()
     endpoint = stub.base + "/v1/chat/completions" if stub else None
     config = perfbench.write_inputs(name, wl, corpus, work, endpoint)
     env = dict(env, PYTHONPATH=os.pathsep.join(filter(None, [str(side / "src"),
                                                              env.get("PYTHONPATH")])))
-    samples = perfbench.measure(config, work, env, stub, seconds, trace=False)
-    for sample in samples:
-        if sample.out is not None:
-            perfbench.check_status(sample)
+    return perfbench.measure(config, work, env, stub, seconds, trace=False)
+
+
+def figures(samples: list) -> dict:
+    """A run's medians over the samples that finished."""
     ok = [s for s in samples if s.out is not None]
+    out = {m: statistics.median(s.out[m] for s in ok) if ok else None for m in METRICS}
+    return dict(out, samples=len(ok))
+
+
+def check_run(samples: list, side: Path, wl, corpus, answers) -> tuple[str | None, list[str]]:
+    """(report sha256, problems found) of one run: perfbench's checks of every sample.
+
+    The audit replay imports zsbench, from `side`. A sample's max RSS starts
+    from this process's resident set, which Linux carries across fork and
+    exec, so an import here would raise every later sample's `peak_rss_mb`:
+    the checks wait until every run is done.
+    """
+    ok = [s for s in samples if s.out is not None]
+    src = str(side / "src")
+    for module in [m for m in sys.modules if m.partition(".")[0] == "zsbench"]:
+        del sys.modules[module]
+    sys.path.insert(0, src)
+    try:
+        for s in ok:
+            perfbench.check_sample(s, wl, corpus, answers, first=s is ok[0])
+    finally:
+        sys.path.remove(src)
     sha = perfbench.check_identical(ok, [p["name"] for p in wl.predictors]) if ok else None
     problems = [note for s in samples for note in s.notes]
     if len(ok) < len(samples):
         problems.append("a sample crashed")
-    figures = {m: statistics.median(s.out[m] for s in ok) if ok else None for m in METRICS}
-    figures.update(samples=len(ok), report_sha256=sha)
-    shutil.rmtree(work, ignore_errors=True)
-    return figures, problems
+    return sha, problems
 
 
 def summary(values: list[float]) -> dict:
@@ -120,14 +143,10 @@ def main() -> int:
     parser.add_argument("--workload", required=True, choices=sorted(perfbench.WORKLOADS))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10, help="pairs of runs (default 10)")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: run_seconds in BENCHMARK.json)")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be positive")
-    seconds = args.seconds
-    if seconds is None:
-        seconds = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))["run_seconds"]
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))["run_seconds"]
     try:
         shas = {side: git("rev-parse", "--short", f"{ref}^{{commit}}")
                 for side, ref in (("base", args.base), ("head", args.head))}
@@ -139,7 +158,7 @@ def main() -> int:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     tmp = Path(tempfile.mkdtemp(prefix="zsbench-pair-"))
     trees = {side: tmp / side for side in shas}
-    stub, runs, problems = None, [], []
+    stub, answers, runs, measured, problems = None, None, [], [], []
     try:
         for side, sha in shas.items():
             checkout(sha, trees[side])
@@ -153,13 +172,18 @@ def main() -> int:
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             pair = {"first": order[0]}
             for side in order:
-                pair[side], found = measure_run(trees[side], wl, corpus, args.workload,
-                                                tmp / f"work-{i}-{side}", env, stub, seconds)
-                problems += [f"pair {i} {side}: {p}" for p in found]
+                samples = measure_run(trees[side], wl, corpus, args.workload,
+                                      tmp / f"work-{i}-{side}", env, stub, seconds)
+                pair[side] = figures(samples)
+                measured.append((i, side, samples))
                 print(f"pair {i} {side}: " + ", ".join(
                     f"{m} {pair[side][m]:.4f}" for m in METRICS if pair[side][m] is not None
                 ), flush=True)
             runs.append(pair)
+        for i, side, samples in measured:
+            runs[i][side]["report_sha256"], found = check_run(samples, trees[side], wl, corpus,
+                                                              answers)
+            problems += [f"pair {i} {side}: {p}" for p in found]
     finally:
         if stub is not None:
             stub.close()
