@@ -64,11 +64,6 @@ def check_hyperparameters(kind: str, hyper: dict) -> None:
     })
 
 
-def train_baseline(name: str, x, labels: list[str], schema: LabelSchema, **hyper):
-    """Train the named baseline on CSR matrix `x` with its hyperparameters."""
-    key = canonical_baseline_name(name)
-    if key is None:
-        from .common import TrainingError
-
-        raise TrainingError(f"unknown baseline {name!r}")
-    return trainer(key)(x, labels, schema, **hyper)
+def train_baseline(kind: str, x, labels: list[str], schema: LabelSchema, **hyper):
+    """Train baseline `kind`, a canonical name, on CSR matrix `x` with its hyperparameters."""
+    return trainer(kind)(x, labels, schema, **hyper)

@@ -63,9 +63,6 @@ class LabelSchema:
                 return label
         return None
 
-    def to_json_dict(self) -> dict:
-        return {"task_name": self.task_name, "labels": list(self.labels)}
-
 
 @dataclass(frozen=True)
 class LabeledCorpus:

@@ -10,7 +10,8 @@ An LLM entry classifies its corpus `repeat_count` times in one
 `ClassificationPool`: its `concurrency` workers take the batches of every
 repeat from one queue, repeat after repeat, so the first batches of a
 repeat start on the workers that the last batches of the one before leave
-idle. `classify_corpus` waits for one repeat. The first permanent failure
+idle. Each batch's labels join its repeat's outcome as the batch ends, and
+`classify_corpus` waits for one repeat. The first permanent failure
 in any repeat, or a Ctrl-C, cancels every batch not yet started, of every
 repeat; the counts in `ClassificationAborted` are batches of the whole
 entry, all repeats together.
@@ -25,7 +26,7 @@ from __future__ import annotations
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..dataset import LabelSchema
@@ -82,10 +83,10 @@ class LlmClassification:
     """Final per-document outcome of one classification pass."""
 
     doc_ids: tuple[int, ...]
-    resolved: dict[int, str]
-    diagnostics: ParseDiagnostics
-    n_requests: int
-    n_reasks: int
+    resolved: dict[int, str] = field(default_factory=dict)
+    diagnostics: ParseDiagnostics = field(default_factory=ParseDiagnostics)
+    n_requests: int = 0
+    n_reasks: int = 0
 
     @property
     def invalid_ids(self) -> list[int]:
@@ -146,10 +147,11 @@ class ClassificationPool:
         ]
         repeats = range(config.repeat_count)
         self._jobs = iter(())  # handed out by __enter__ once every job loop has started
-        self._outcomes = [[None] * len(self.batches) for _ in repeats]
+        doc_ids = tuple(i for i, _ in items)
+        self._results = [LlmClassification(doc_ids) for _ in repeats]
         self._left = [len(self.batches) for _ in repeats]  # batches each repeat waits for
         self._failure: Exception | None = None
-        # guards the jobs and the three lists above; notified when a batch ends
+        # guards the jobs and the three fields above; notified when a batch ends
         self._lock = threading.RLock()
         self._changed = threading.Condition(self._lock)
         # set once the entry ends, fails or is interrupted: start no further batch or re-ask
@@ -182,7 +184,7 @@ class ClassificationPool:
             if repeat is None:
                 return
             try:
-                outcome = self._run_batch(repeat, batch_no)
+                parsed, n_requests = self._run_batch(repeat, batch_no)
             except Exception as exc:  # the entry is doomed: start no further requests
                 self._stopping.set()  # before the lock, which every job loop takes
                 with self._changed:
@@ -190,7 +192,10 @@ class ClassificationPool:
                     self._changed.notify_all()
                 return
             with self._changed:
-                self._outcomes[repeat][batch_no] = outcome
+                outcome = self._results[repeat]
+                outcome.resolved.update(parsed.resolved)
+                outcome.diagnostics.merge(parsed.diagnostics)
+                outcome.n_requests += n_requests
                 self._left[repeat] -= 1
                 self._changed.notify_all()
 
@@ -219,9 +224,9 @@ class ClassificationPool:
                 break
         return merged, n_requests
 
-    def finished(self, repeat: int) -> list[tuple[ParsedLabels, int]]:
-        """Each batch's outcome in `repeat`, in batch order, once all are done;
-        the pool keeps no copy.
+    def finished(self, repeat: int) -> LlmClassification:
+        """The outcome of `repeat` once all its batches are done; the pool
+        keeps no copy.
 
         Raises ClassificationAborted, once the batches in flight have ended,
         as soon as a batch of any repeat has failed. A KeyboardInterrupt
@@ -240,8 +245,12 @@ class ClassificationPool:
         if self._left[repeat]:  # a failing worker records its failure after it stops the pool
             self._stop()
         if self._failure is None:
-            outcomes, self._outcomes[repeat] = self._outcomes[repeat], None
-            return outcomes
+            outcome, self._results[repeat] = self._results[repeat], None
+            # after re-asks, "missing" means finally unresolved, not per-parse gaps
+            outcome.diagnostics.missing_index = len(self.items) - len(outcome.resolved)
+            # each batch sends one request and at most one re-ask
+            outcome.n_reasks = outcome.n_requests - len(self.batches)
+            return outcome
         self._stop()
         total = len(self.batches) * len(self._left)
         raise ClassificationAborted(
@@ -250,26 +259,9 @@ class ClassificationPool:
 
 
 def classify_corpus(pool: ClassificationPool, repeat: int) -> LlmClassification:
-    """One repeat of the pool's corpus, in input order, once its batches are
-    done; see `ClassificationPool.finished` for failures and interrupts."""
-    outcomes = pool.finished(repeat)
-    resolved: dict[int, str] = {}
-    diagnostics = ParseDiagnostics()
-    for parsed, _ in outcomes:
-        resolved.update(parsed.resolved)
-        diagnostics.merge(parsed.diagnostics)
-    # after re-asks, "missing" means finally unresolved, not per-parse gaps
-    diagnostics.missing_index = len(pool.items) - len(resolved)
-    n_requests = sum(n for _, n in outcomes)
-
-    return LlmClassification(
-        doc_ids=tuple(i for i, _ in pool.items),
-        resolved=resolved,
-        diagnostics=diagnostics,
-        n_requests=n_requests,
-        # each batch sends one request and at most one re-ask
-        n_reasks=n_requests - len(pool.batches),
-    )
+    """One repeat of the pool's corpus once its batches are done; see
+    `ClassificationPool.finished` for failures and interrupts."""
+    return pool.finished(repeat)
 
 
 def replay_audit(path: str | Path, schema: LabelSchema):

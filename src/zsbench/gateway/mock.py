@@ -37,10 +37,8 @@ class KeywordRuleProvider:
         self.rules = {k: list(v) for k, v in rules.items()}
         self.default_label = default_label
         self.noise = noise
-        self.calls = 0
 
     def complete(self, body: dict) -> tuple[str, dict]:
-        self.calls += 1
         user = next(
             (m["content"] for m in body.get("messages", ()) if m.get("role") == "user"),
             "",

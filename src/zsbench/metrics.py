@@ -261,10 +261,10 @@ class RunAggregate:
     mean: float = 0.0
     std: float | None = None
 
-    def format(self, digits: int = 4) -> str:
+    def format(self) -> str:
         if self.std is None:
-            return f"{self.mean:.{digits}f}"
-        return f"{self.mean:.{digits}f}±{self.std:.{digits}f}"
+            return f"{self.mean:.4f}"
+        return f"{self.mean:.4f}±{self.std:.4f}"
 
     def to_json_dict(self) -> dict:
         return {

@@ -468,7 +468,7 @@ def _run_llm_variant(
     provider = _build_provider(spec, corpus.schema)
     texts = [corpus.texts[i] for i in test_ids]
     if variant == "clean":  # once per entry: every repeat and re-ask sends the same text
-        texts = [clean_for_prompt(text, config.llm_cleaning) for text in texts]
+        texts = clean_for_prompt(texts, config.llm_cleaning)
     items = list(zip(test_ids, texts))
 
     diagnostics_per_run = []
@@ -639,7 +639,7 @@ def emit_report(result: ExperimentResult, format: str = "markdown") -> str:
         raise ValueError("empty result: no predictors were run")
     if format == "json":
         return _json(result.to_json_dict())
-    if format not in ("markdown", "md"):
+    if format != "markdown":
         raise ValueError(f"unknown report format {format!r}")
 
     schema = result.config.dataset.schema

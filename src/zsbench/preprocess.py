@@ -2,11 +2,12 @@
 
 Cleaning applies removal rules in a fixed order (URLs, HTML tags, mentions,
 hashtags, digits, punctuation), each replacing the matched span with a
-space, then lowercases and collapses whitespace; a rule whose pattern
+space, then lowercases and splits on whitespace; a rule whose pattern
 cannot match the text is skipped, and the one-character digit and
 punctuation rules run as one `str.translate` pass. Replacing instead of
 deleting keeps the pipeline idempotent: a later rule can never splice two
-fragments into a match for an earlier one.
+fragments into a match for an earlier one. The text sent to an LLM is the
+same tokens joined by single spaces.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ _MENTION_RE = re.compile(r"@\w+")
 _HASHTAG_RE = re.compile(r"#\w+")
 _DIGIT_RE = re.compile(r"\d+")
 _PUNCT_RE = re.compile(r"[^\w\s]")
-_WS_RE = re.compile(r"\s+")
 
 
 @dataclass(frozen=True)
@@ -100,15 +100,6 @@ def _remove(text: str, policy: CleaningPolicy) -> str:
     return text
 
 
-def clean_text(text: str, policy: CleaningPolicy) -> str:
-    """Apply the policy's removal rules in fixed order, lowercase, and
-    collapse whitespace.
-
-    Idempotent: cleaning an already-clean string is a no-op.
-    """
-    return _WS_RE.sub(" ", _remove(text, policy)).strip().lower()
-
-
 class _Stems(dict):
     """token -> stem memo: a token missing from it is stemmed on first lookup."""
 
@@ -117,31 +108,25 @@ class _Stems(dict):
         return result
 
 
-def normalize_tokens(text: str, policy: CleaningPolicy, stems: _Stems | None = None) -> list[str]:
-    """Tokenize cleaned text, dropping stop words and stemming per policy.
-
-    `stems` memoizes stems; calls that share it stem each distinct token once.
-    """
-    tokens = text.lower().split()
-    if policy.remove_stopwords:
-        tokens = [t for t in tokens if t not in STOPWORDS]
-    if policy.apply_stemming:
-        tokens = list(map((_Stems() if stems is None else stems).__getitem__, tokens))
-    return tokens
-
-
 def preprocess_corpus(texts: list[str], policy: CleaningPolicy) -> list[list[str]]:
-    """Clean and tokenize every text, in input order.
+    """Clean and tokenize every text, in input order, dropping stop words
+    and stemming per policy.
 
     One call stems each distinct token once, so an experiment passes all of
-    its texts, train and test, in one call. The rule output is lowercased
-    and split once, with no whitespace pass: regex `\\s` and `str.isspace`
-    agree on every code point, so the tokens equal those of `clean_text`.
+    its texts, train and test, in one call.
     """
     stems = _Stems()
-    return [normalize_tokens(_remove(text, policy), policy, stems) for text in texts]
+    corpus = []
+    for text in texts:
+        tokens = _remove(text, policy).lower().split()
+        if policy.remove_stopwords:
+            tokens = [t for t in tokens if t not in STOPWORDS]
+        if policy.apply_stemming:
+            tokens = list(map(stems.__getitem__, tokens))
+        corpus.append(tokens)
+    return corpus
 
 
-def clean_for_prompt(text: str, policy: CleaningPolicy) -> str:
-    """Cleaned single-string form of a text, for sending to an LLM."""
-    return " ".join(normalize_tokens(clean_text(text, policy), policy))
+def clean_for_prompt(texts: list[str], policy: CleaningPolicy) -> list[str]:
+    """The cleaned form of each text sent to an LLM: its tokens joined by spaces."""
+    return [" ".join(tokens) for tokens in preprocess_corpus(texts, policy)]

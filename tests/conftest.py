@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import threading
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,20 @@ class ScriptedProvider:
         if isinstance(entry, Exception):
             raise entry
         return entry, {"model": "scripted", "usage": {}}
+
+
+class CountingProvider:
+    """Passes each request to `inner` and counts them, from any thread."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def complete(self, body: dict) -> tuple[str, dict]:
+        with self._lock:
+            self.calls += 1
+        return self.inner.complete(body)
 
 
 @pytest.fixture

@@ -18,7 +18,13 @@ from zsbench.gateway.classify import (
 )
 from zsbench.gateway.client import AuthenticationError, LlmRunConfig, ProviderError
 from zsbench.gateway.mock import KeywordRuleProvider
-from conftest import ECOMMERCE_TASK, FIXTURE_DEFAULT_LABEL, FIXTURE_RULES, ScriptedProvider
+from conftest import (
+    ECOMMERCE_TASK,
+    FIXTURE_DEFAULT_LABEL,
+    FIXTURE_RULES,
+    CountingProvider,
+    ScriptedProvider,
+)
 
 FAST = dict(backoff_base_s=0.001)
 ONCE = dict(FAST, repeat_count=1)
@@ -39,8 +45,8 @@ def classify_once(docs, schema, config, provider, audit=None):
 class TestBatching:
     def test_batch_count_and_order(self, ecommerce_schema):
         docs = make_docs([f"item number {i} with usb" for i in range(150)])
-        provider = KeywordRuleProvider(
-            ecommerce_schema, FIXTURE_RULES, FIXTURE_DEFAULT_LABEL
+        provider = CountingProvider(
+            KeywordRuleProvider(ecommerce_schema, FIXTURE_RULES, FIXTURE_DEFAULT_LABEL)
         )
         config = LlmRunConfig(model="mock", batch_size=25, **ONCE)
         outcome = classify_once(docs, ecommerce_schema, config, provider)
@@ -52,8 +58,8 @@ class TestBatching:
 
     def test_single_partial_batch(self, ecommerce_schema):
         docs = make_docs(["a novel", "usb hub", "cotton shirt"])
-        provider = KeywordRuleProvider(
-            ecommerce_schema, FIXTURE_RULES, FIXTURE_DEFAULT_LABEL
+        provider = CountingProvider(
+            KeywordRuleProvider(ecommerce_schema, FIXTURE_RULES, FIXTURE_DEFAULT_LABEL)
         )
         config = LlmRunConfig(model="mock", batch_size=25, **ONCE)
         outcome = classify_once(docs, ecommerce_schema, config, provider)
@@ -381,25 +387,16 @@ class TestEntryPool:
         assert [o.n_requests for o in outcomes] == [2, 2, 2]
 
     def test_every_batch_of_every_repeat_is_counted_once(self, ecommerce_schema):
-        rules = KeywordRuleProvider(ecommerce_schema, FIXTURE_RULES, FIXTURE_DEFAULT_LABEL)
-        lock = threading.Lock()
-        calls = [0]
-
-        class CountingProvider:
-            def complete(self, body):
-                with lock:
-                    calls[0] += 1
-                return rules.complete(body)
-
+        provider = CountingProvider(
+            KeywordRuleProvider(ecommerce_schema, FIXTURE_RULES, FIXTURE_DEFAULT_LABEL)
+        )
         docs = make_docs([f"usb item {i}" for i in range(60)])
         # more workers than cores, switching as often as possible
         config = LlmRunConfig(model="m", batch_size=1, concurrency=8, repeat_count=5, **FAST)
         outcomes = []
 
         def consume():
-            pool = ClassificationPool(
-                docs, ecommerce_schema, ECOMMERCE_TASK, config, CountingProvider()
-            )
+            pool = ClassificationPool(docs, ecommerce_schema, ECOMMERCE_TASK, config, provider)
             with pool:
                 outcomes.extend(classify_corpus(pool, r) for r in range(config.repeat_count))
 
@@ -413,7 +410,7 @@ class TestEntryPool:
         finally:
             sys.setswitchinterval(interval)
         assert not consumer.is_alive()
-        assert calls[0] == 5 * 60
+        assert provider.calls == 5 * 60
         assert [o.n_requests for o in outcomes] == [60] * 5
         assert all(o.resolved == {i: "Electronics" for i in range(60)} for o in outcomes)
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -114,6 +115,21 @@ class TestLoadCorpus:
         path.write_text('text,label\n"   ",ham\n')
         with pytest.raises(CorpusError, match="empty text"):
             load_corpus(path, "csv", "text", "label", spam_schema)
+
+    @pytest.mark.parametrize(
+        "fmt, content, message",
+        [
+            ("jsonl", '{"text": "ok", "label": "ham"}\n["spam", "ham"]\n',
+             "line 2: record is not a JSON object"),
+            ("csv", "", "empty csv file"),
+        ],
+        ids=["jsonl-not-an-object", "empty-csv"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, spam_schema, fmt, content, message):
+        path = tmp_path / f"corpus.{fmt}"
+        path.write_text(content)
+        with pytest.raises(CorpusError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_corpus(path, fmt, "text", "label", spam_schema)
 
 
 class TestClassDistribution:

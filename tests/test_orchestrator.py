@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import pytest
 
+import clean_oracle
 from conftest import fixture_experiment_config, mock_llm_predictor
 from test_tracer_hooks import load_tracing
 from zsbench import baselines, cli, orchestrator, preprocess
@@ -53,6 +54,9 @@ READER_TARGETS = [
     (HttpProvider, ("timeout_s",)),
     *((baselines.trainer(kind), orchestrator._TRAINER_INPUTS) for kind in baselines.DISPLAY_NAMES),
 ]
+
+# a table entry's value that removes its field instead of setting it
+DELETE = object()
 
 JSON_TYPE_NAMES = ("a string", "an integer", "a number", "true or false", "an object", "a list",
                    "a list of strings")
@@ -361,6 +365,68 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match=rf"^{where}: expected .*, got {re.escape(repr(value))}$"):
             validate_config(json.dumps(data))
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            ((), [1, 2], "config: expected an object, got [1, 2]"),
+            (("predictors",), [], "predictors: at least one predictor is required"),
+            (("predictors", 0), "mnb", "predictors[0]: expected an object, got 'mnb'"),
+            (("predictors", 1, "provider", "type"), DELETE,
+             "predictors[1].provider: expected an object with a 'type'"),
+            (("predictors", 2, "model"), DELETE, "predictors[2]: llm predictor needs a 'model' name"),
+            (("predictors", 1, "provider", "type"), "grpc",
+             "predictors[1].provider: unknown provider type 'grpc'"),
+            (("dataset", "schema", "labels"), ["Books"],
+             "dataset.schema: schema needs at least 2 labels"),
+            (("dataset", "format"), "xml", "dataset.format: expected csv|jsonl, got 'xml'"),
+            (("split", "test_size"), 0, "split.test_size: expected a positive integer, got 0"),
+            (("features", "min_df"), 0, "features.min_df: expected a positive integer, got 0"),
+        ],
+        ids=["top-level-list", "no-predictors", "string-predictor", "provider-without-type",
+             "http-without-model", "unknown-provider-type", "one-label", "xml-format",
+             "zero-test-size", "zero-min-df"],
+    )
+    def test_invalid_value_rejected_with_message(
+        self, fixture_corpus_path, tmp_path, path, value, message
+    ):
+        data = self._every_level(fixture_corpus_path, tmp_path)
+        validate_config(json.dumps(data))  # valid before the bad value goes in
+        if not path:
+            data = value
+        else:
+            *parents, key = path
+            target = data
+            for part in parents:
+                target = target[part]
+            if value is DELETE:
+                del target[key]
+            else:
+                target[key] = value
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            validate_config(json.dumps(data))
+
+    @pytest.mark.parametrize(
+        "path",
+        [("split",), ("cleaning",), ("llm_cleaning",), ("features",), ("predictors", 1, "task"),
+         ("predictors", 1, "request_seed")],
+        ids=["split", "cleaning", "llm-cleaning", "features", "task", "request-seed"],
+    )
+    def test_null_optional_field_is_its_default(self, fixture_corpus_path, tmp_path, path):
+        data = self._every_level(fixture_corpus_path, tmp_path)
+        *parents, key = path
+        target = data
+        for part in parents:
+            target = target[part]
+        target.pop(key, None)
+        default = validate_config(json.dumps(data))
+        target[key] = None
+        assert validate_config(json.dumps(data)).to_json_dict() == default.to_json_dict()
+
+    def test_missing_config_file(self, tmp_path):
+        path = tmp_path / "absent.json"
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'config file not found: {path}')}$"):
+            orchestrator.load_config(path)
+
     def test_api_key_in_provider_not_echoed(self, fixture_corpus_path, tmp_path):
         predictor = http_llm_predictor(api_key="sk-not-a-real-key")
         raw = minimal_config(fixture_corpus_path, tmp_path, predictors=[predictor])
@@ -543,7 +609,7 @@ class TestRunExperiment:
         distinct = {
             token
             for text in corpus.texts
-            for token in preprocess.clean_text(text, config.cleaning).split()
+            for token in clean_oracle.clean_text(text, config.cleaning).split()
             if token not in preprocess.STOPWORDS
         }
         assert len(stemmed) == len(distinct)
@@ -679,9 +745,15 @@ class TestRunExperiment:
             tmp_path,
             predictors=[mock_llm_predictor(text_variant="clean", repeat_count=3)],
         )
-        result = run_experiment(validate_config(raw), run_id="clean-once")
+        config = validate_config(raw)
+        result = run_experiment(config, run_id="clean-once")
         assert len(result.predictors["mock-llm"].runs) == 3
-        assert len(cleaned) == len(result.test_ids) == 150
+        [(texts, policy)] = cleaned  # one call for every repeat and re-ask
+        ds = config.dataset
+        corpus = load_corpus(ds.path, ds.format, ds.text_field, ds.label_field, ds.schema)
+        assert texts == [corpus.texts[i] for i in result.test_ids]
+        assert len(texts) == 150
+        assert policy == config.llm_cleaning
 
     def test_feature_failure_fails_every_baseline(self, fixture_corpus_path, tmp_path, monkeypatch):
         fits = self._count_calls(monkeypatch, "fit_vectorizer")
@@ -875,6 +947,47 @@ class TestRunExperiment:
         err = capsys.readouterr().err
         assert err.startswith("error: run directory ")
         assert "already exists" in err
+
+    def test_cli_validate_prints_the_summary(self, fixture_corpus_path, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        predictors = [{"name": "mnb"}, mock_llm_predictor()]
+        config_path.write_text(minimal_config(fixture_corpus_path, tmp_path, predictors), "utf-8")
+        assert cli.main(["validate", str(config_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out) == {
+            "task": "e-commerce",
+            "dataset": str(fixture_corpus_path),
+            "test_size": 150,
+            "predictors": ["mnb", "mock-llm"],
+            "config_hash": orchestrator.load_config(config_path).config_hash(),
+        }
+
+    @pytest.mark.parametrize(
+        "options, report",
+        [([], "report.md"), (["--format", "md"], "report.md"), (["--format", "json"], "report.json")],
+        ids=["default", "md", "json"],
+    )
+    def test_cli_report_prints_the_run_report(
+        self, fixture_corpus_path, tmp_path, capsys, options, report
+    ):
+        config_path = tmp_path / "config.json"
+        predictors = [{"name": "mnb"}, mock_llm_predictor(repeat_count=2)]
+        config_path.write_text(minimal_config(fixture_corpus_path, tmp_path, predictors), "utf-8")
+        assert cli.main(["run", str(config_path), "--run-id", "done"]) == 0
+        capsys.readouterr()
+        run_dir = tmp_path / "runs" / "done"
+        assert cli.main(["report", str(run_dir), *options]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.encode("utf-8") == (run_dir / report).read_bytes()
+        assert captured.err == ""
+
+    def test_cli_report_of_a_directory_without_one(self, tmp_path, capsys):
+        assert cli.main(["report", str(tmp_path), "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        report = tmp_path / "report.json"
+        assert captured.err == f"error: {report} not found (is {tmp_path} a run directory?)\n"
 
     def test_cli_interrupted_run_exits_130_without_a_traceback(
         self, fixture_corpus_path, tmp_path, monkeypatch, capsys

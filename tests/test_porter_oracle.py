@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import porter_oracle
 from conftest import DATA_DIR
 from zsbench.porter import stem
-from zsbench.preprocess import CleaningPolicy, clean_text
+from zsbench.preprocess import CleaningPolicy, preprocess_corpus
 
 SUFFIXES = [
     *(suffix for suffix, _ in porter_oracle._STEP2_RULES + porter_oracle._STEP3_RULES),
@@ -49,9 +49,9 @@ def test_stem_matches_oracle(word):
 def test_stem_matches_oracle_on_fixture_corpus():
     with (DATA_DIR / "fixture_corpus.csv").open(encoding="utf-8", newline="") as fh:
         texts = [row["text"] for row in csv.DictReader(fh)]
-    tokens = set()
-    for text in texts:
-        tokens.update(text.lower().split())
-        tokens.update(clean_text(text, CleaningPolicy()).split())
+    tokens = {token for text in texts for token in text.lower().split()}
+    # every token the rules leave, stop words included
+    kept = CleaningPolicy(remove_stopwords=False, apply_stemming=False)
+    tokens.update(token for doc in preprocess_corpus(texts, kept) for token in doc)
     assert len(tokens) > 100
     assert [stem(t) for t in sorted(tokens)] == [porter_oracle.stem(t) for t in sorted(tokens)]

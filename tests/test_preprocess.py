@@ -1,19 +1,13 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clean_oracle
-from zsbench.preprocess import (
-    STOPWORDS,
-    CleaningPolicy,
-    clean_for_prompt,
-    clean_text,
-    normalize_tokens,
-    preprocess_corpus,
-)
+from zsbench.preprocess import STOPWORDS, CleaningPolicy, clean_for_prompt, preprocess_corpus
 
 FULL = CleaningPolicy(apply_stemming=False)
 # every rule off: lowercase whitespace tokenization only
@@ -51,58 +45,76 @@ any_policy = st.builds(
 )
 
 
+# the cleaned text with every token kept as it is: the removal rules and lowercasing only
+KEEP_TOKENS = CleaningPolicy(remove_stopwords=False, apply_stemming=False)
+# policies under which a cleaned text is itself clean: a stem may not be its own stem
+unstemmed_policy = any_policy.map(lambda policy: replace(policy, apply_stemming=False))
+
+
+def clean(text: str, policy: CleaningPolicy) -> str:
+    [cleaned] = clean_for_prompt([text], policy)
+    return cleaned
+
+
+def tokens_of(text: str, policy: CleaningPolicy) -> list[str]:
+    [tokens] = preprocess_corpus([text], policy)
+    return tokens
+
+
 class TestCleanText:
+    """The prompt text: the joined tokens of the cleaning pass."""
+
     def test_tweet_removal_order(self):
         text = "Woolies stopped all orders #coronavirus @user https://t.co/abc"
-        assert clean_text(text, FULL) == "woolies stopped all orders"
-        assert normalize_tokens(clean_text(text, FULL), FULL) == [
-            "woolies",
-            "stopped",
-            "orders",
-        ]
+        assert clean(text, KEEP_TOKENS) == "woolies stopped all orders"
+        assert clean(text, FULL) == "woolies stopped orders"
 
     def test_empty_input(self):
-        assert clean_text("", FULL) == ""
+        assert clean_for_prompt([""], FULL) == [""]
+        assert clean_for_prompt([], FULL) == []
 
     def test_html_and_digits_then_punctuation(self):
         policy = NO_RULES
         html_digits = CleaningPolicy(
             **{**policy.to_json_dict(), "remove_html_tags": True, "remove_digits": True}
         )
-        assert clean_text("<b>Sale 50%</b>", html_digits) == "sale %"
+        assert clean("<b>Sale 50%</b>", html_digits) == "sale %"
         with_punct = CleaningPolicy(
             **{**html_digits.to_json_dict(), "remove_punctuation": True}
         )
-        assert clean_text("<b>Sale 50%</b>", with_punct) == "sale"
+        assert clean("<b>Sale 50%</b>", with_punct) == "sale"
 
     def test_always_lowercases(self):
-        assert clean_text("HELLO World", NO_RULES) == "hello world"
+        assert clean("HELLO World", NO_RULES) == "hello world"
 
     @settings(max_examples=300, deadline=None)
-    @given(text=tweet_text, policy=any_policy)
+    @given(text=tweet_text, policy=unstemmed_policy)
     @example(text="0T.co/abc", policy=CleaningPolicy.tweet_cleaning())
     @example(text="<<b>>", policy=CleaningPolicy.tweet_cleaning())
+    @example(text="a <b the c> d", policy=CleaningPolicy.tweet_cleaning())
     def test_idempotent(self, text, policy):
-        once = clean_text(text, policy)
-        assert clean_text(once, policy) == once
+        once = clean(text, policy)
+        assert clean(once, policy) == once
 
     @settings(max_examples=300, deadline=None)
-    @given(text=tweet_text, policy=any_policy)
+    @given(text=tweet_text, policy=unstemmed_policy)
     def test_monotone_length(self, text, policy):
-        assert len(clean_text(text, policy)) <= len(text)
+        assert len(clean(text, policy)) <= len(text)
 
 
 class TestNormalizeTokens:
+    """Stop words and stems: the token side of the cleaning pass."""
+
     def test_porter_stemming(self):
         policy = CleaningPolicy(remove_stopwords=False, apply_stemming=True)
-        assert normalize_tokens("running quickly", policy) == ["run", "quickli"]
+        assert tokens_of("running quickly", policy) == ["run", "quickli"]
 
     def test_all_stopwords(self):
-        assert normalize_tokens("the a an", FULL) == []
+        assert tokens_of("the a an", FULL) == []
 
     def test_identity_tokenization(self):
         policy = NO_RULES
-        assert normalize_tokens("spam spam ham", policy) == ["spam", "spam", "ham"]
+        assert tokens_of("spam spam ham", policy) == ["spam", "spam", "ham"]
 
     def test_stopword_list_shape(self):
         assert 150 <= len(STOPWORDS) <= 200
@@ -112,14 +124,14 @@ class TestNormalizeTokens:
     @given(text=tweet_text)
     def test_policy_off_is_lowercase_whitespace_split(self, text):
         policy = NO_RULES
-        assert normalize_tokens(clean_text(text, policy), policy) == text.lower().split()
+        assert tokens_of(text, policy) == text.lower().split()
 
 
 class TestPreprocessCorpus:
     def test_order_and_ids_preserved(self):
         texts = ["win a prize", "see you soon", "win again"]
         tokens = preprocess_corpus(texts, FULL)
-        assert tokens == [normalize_tokens(clean_text(t, FULL), FULL) for t in texts]
+        assert tokens == [tokens_of(t, FULL) for t in texts]
         assert tokens == [["win", "prize"], ["see", "soon"], ["win"]]
 
     def test_url_only_doc_counted_empty(self):
@@ -128,8 +140,10 @@ class TestPreprocessCorpus:
 
     def test_clean_for_prompt(self):
         policy = CleaningPolicy.tweet_cleaning()
-        out = clean_for_prompt("Check THIS out! https://t.co/x #wow", policy)
-        assert out == "check out!"
+        texts = ["Check THIS out! https://t.co/x #wow", "Running FAST"]
+        assert clean_for_prompt(texts, policy) == ["check out!", "running fast"]
+        stemmed = replace(policy, apply_stemming=True)
+        assert clean_for_prompt(texts, stemmed) == ["check out!", "run fast"]
 
 
 # every CleaningPolicy: all 2**8 flag combinations
@@ -166,6 +180,11 @@ class TestAgainstOracle:
     @example(texts=["httpſ://x y", "0T.co/abc", "ΑΣ ΑΣ\u2028Σ"])
     def test_matches_the_unguarded_oracle_under_every_policy(self, texts):
         for policy in EVERY_POLICY:
-            for text in texts:
-                assert clean_text(text, policy) == clean_oracle.clean_text(text, policy)
-            assert preprocess_corpus(texts, policy) == clean_oracle.preprocess_corpus(texts, policy)
+            expected = clean_oracle.preprocess_corpus(texts, policy)
+            assert preprocess_corpus(texts, policy) == expected
+            # the prompt text is the oracle's string path: cleaned, tokenized, joined
+            assert clean_for_prompt(texts, policy) == [" ".join(tokens) for tokens in expected]
+            if not (policy.remove_stopwords or policy.apply_stemming):
+                assert clean_for_prompt(texts, policy) == [
+                    clean_oracle.clean_text(text, policy) for text in texts
+                ]
