@@ -12,7 +12,6 @@ from .common import TrainingError, check_training_input, normalize_rows
 class DivergenceError(TrainingError):
     def __init__(self, epoch: int):
         super().__init__(f"training diverged: loss became non-finite at epoch {epoch}")
-        self.epoch = epoch
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -7,14 +7,14 @@ downstream, never guessed). A document whose text is blank, such as a
 tweet that cleans to nothing, goes in no request and is marked invalid.
 
 An LLM entry classifies its corpus `repeat_count` times in one
-`ClassificationPool`: its `concurrency` workers take the batches of every
-repeat from one queue, repeat after repeat, so the first batches of a
-repeat start on the workers that the last batches of the one before leave
-idle. Each batch's labels join its repeat's outcome as the batch ends, and
-`classify_corpus` waits for one repeat. The first permanent failure
-in any repeat, or a Ctrl-C, cancels every batch not yet started, of every
-repeat; the counts in `ClassificationAborted` are batches of the whole
-entry, all repeats together.
+`ClassificationPool`: each (repeat, batch) is one future of an executor
+with `concurrency` workers, queued repeat after repeat, so the first
+batches of a repeat start on the workers that the last batches of the one
+before leave idle. `classify_corpus` waits for one repeat's futures and
+merges their labels in batch order. The first permanent failure in any
+repeat, or a Ctrl-C, cancels every batch not yet started, of every repeat;
+the counts in `ClassificationAborted` are batches of the whole entry, all
+repeats together.
 
 Every request/response pair is appended to a JSONL audit log that can be
 replayed through the parser offline; each record carries its repeat and
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,7 +49,6 @@ class ClassificationAborted(GatewayError):
         super().__init__(
             f"aborted after {completed_batches}/{total_batches} batches: {cause}"
         )
-        self.cause = cause
 
 
 class AuditLog:
@@ -121,8 +120,8 @@ class ClassificationPool:
     """The requests of one LLM entry: `config.repeat_count` passes over the
     same (doc id, text) pairs, on one pool of `config.concurrency` workers.
 
-    The workers take the batches of every repeat in turn, repeat after
-    repeat. Leaving the pool starts no further batch and waits for those in
+    Every (repeat, batch) is queued on entry, repeat after repeat. Leaving
+    the pool cancels the batches not yet started and waits for those in
     flight, so the provider can be closed after.
     """
 
@@ -145,83 +144,64 @@ class ClassificationPool:
         self.batches = [
             sendable[i : i + config.batch_size] for i in range(0, len(sendable), config.batch_size)
         ]
-        repeats = range(config.repeat_count)
-        self._jobs = iter(())  # handed out by __enter__ once every job loop has started
-        doc_ids = tuple(i for i, _ in items)
-        self._results = [LlmClassification(doc_ids) for _ in repeats]
-        self._left = [len(self.batches) for _ in repeats]  # batches each repeat waits for
-        self._failure: Exception | None = None
-        # guards the jobs and the three fields above; notified when a batch ends
-        self._lock = threading.RLock()
-        self._changed = threading.Condition(self._lock)
         # set once the entry ends, fails or is interrupted: start no further batch or re-ask
         self._stopping = threading.Event()
+        # set once __enter__ has queued every job; no worker takes one before
+        self._queued = threading.Event()
 
     def __enter__(self) -> "ClassificationPool":
-        # a job loop per worker, and no more loops than jobs
-        loops = min(self.config.concurrency, len(self.batches) * len(self._left))
-        self._executor = ThreadPoolExecutor(max_workers=self.config.concurrency)
-        # a Ctrl-C while the loops start calls no __exit__; until every loop
-        # has started, the loops find no job, so such a Ctrl-C sends nothing
-        with self._lock:
-            self._workers = [self._executor.submit(self._work) for _ in range(loops)]
-            self._jobs = ((r, b) for r in range(len(self._left)) for b in range(len(self.batches)))
+        self._executor = ThreadPoolExecutor(
+            max_workers=self.config.concurrency, initializer=self._queued.wait
+        )
+        # a Ctrl-C while queuing calls no __exit__, so the pool stops here; a
+        # worker takes no job before the queue is whole, then finds it stopping
+        try:
+            self._futures = [
+                [self._executor.submit(self._run_batch, r, b) for b in range(len(self.batches))]
+                for r in range(self.config.repeat_count)
+            ]
+        except BaseException:
+            self._stopping.set()
+            self._executor.shutdown(wait=False, cancel_futures=True)
+            raise
+        finally:
+            self._queued.set()
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self._stop()
-
-    def _stop(self) -> None:
         self._stopping.set()
-        self._executor.shutdown(wait=True)
-        for worker in self._workers:
-            worker.result()  # re-raises what a job loop did not catch
+        self._executor.shutdown(wait=True, cancel_futures=True)
 
-    def _work(self) -> None:
-        while not self._stopping.is_set():
-            with self._changed:
-                repeat, batch_no = next(self._jobs, (None, None))
-            if repeat is None:
-                return
-            try:
-                parsed, n_requests = self._run_batch(repeat, batch_no)
-            except Exception as exc:  # the entry is doomed: start no further requests
-                self._stopping.set()  # before the lock, which every job loop takes
-                with self._changed:
-                    self._failure = self._failure or exc
-                    self._changed.notify_all()
-                return
-            with self._changed:
-                outcome = self._results[repeat]
-                outcome.resolved.update(parsed.resolved)
-                outcome.diagnostics.merge(parsed.diagnostics)
-                outcome.n_requests += n_requests
-                self._left[repeat] -= 1
-                self._changed.notify_all()
-
-    def _run_batch(self, repeat: int, batch_no: int) -> tuple[ParsedLabels, int]:
+    def _run_batch(self, repeat: int, batch_no: int) -> tuple[ParsedLabels, int] | None:
         """The batch's merged labels and its request count: one request, then
-        one re-ask listing only the entries the first left unresolved."""
+        one re-ask listing only the entries the first left unresolved. None
+        when the pool was already stopping."""
+        if self._stopping.is_set():
+            return None
         pending = self.batches[batch_no]
         merged = ParsedLabels()
         n_requests = 0
-        for phase in ("initial", "re_ask"):
-            bundle = build_prompt(self.schema, self.task, pending)
-            response = complete_chat(bundle, self.config, self.provider)
-            n_requests += 1
-            parsed = parse_classification(response.raw_text, bundle.batch_indices, self.schema)
-            if self.audit is not None:
-                self.audit.append(
-                    _audit_record(
-                        self.meta, repeat, batch_no, phase, bundle.batch_indices,
-                        build_request_body(bundle, self.config), response, parsed,
+        try:
+            for phase in ("initial", "re_ask"):
+                bundle = build_prompt(self.schema, self.task, pending)
+                response = complete_chat(bundle, self.config, self.provider)
+                n_requests += 1
+                parsed = parse_classification(response.raw_text, bundle.batch_indices, self.schema)
+                if self.audit is not None:
+                    self.audit.append(
+                        _audit_record(
+                            self.meta, repeat, batch_no, phase, bundle.batch_indices,
+                            build_request_body(bundle, self.config), response, parsed,
+                        )
                     )
-                )
-            merged.resolved.update(parsed.resolved)
-            merged.diagnostics.merge(parsed.diagnostics)
-            pending = [(i, t) for i, t in pending if i not in merged.resolved]
-            if not pending or self._stopping.is_set():
-                break
+                merged.resolved.update(parsed.resolved)
+                merged.diagnostics.merge(parsed.diagnostics)
+                pending = [(i, t) for i, t in pending if i not in merged.resolved]
+                if not pending or self._stopping.is_set():
+                    break
+        except Exception:  # the entry is doomed: start no further requests
+            self._stopping.set()
+            raise
         return merged, n_requests
 
     def finished(self, repeat: int) -> LlmClassification:
@@ -232,30 +212,37 @@ class ClassificationPool:
         as soon as a batch of any repeat has failed. A KeyboardInterrupt
         stops the pool from starting further batches and is re-raised.
         """
+        futures = self._futures[repeat]
         try:
-            with self._lock:  # not Condition.__enter__, which a Ctrl-C can leave holding it
-                # waits in slices: an interrupt that does not wake a blocked
-                # wait (raised from another thread, or a signal that landed on
-                # a worker) would otherwise surface only once the repeat ended
-                while self._left[repeat] and not self._stopping.is_set():
-                    self._changed.wait(_INTERRUPT_POLL_S)
+            # waits in slices: an interrupt that does not wake a blocked
+            # wait (raised from another thread, or a signal that landed on
+            # a worker) would otherwise surface only once the repeat ended
+            while not self._stopping.is_set() and wait(futures, _INTERRUPT_POLL_S).not_done:
+                pass
         except BaseException:  # Ctrl-C: start no further requests, then re-raise
             self._stopping.set()
             raise
-        if self._left[repeat]:  # a failing worker records its failure after it stops the pool
-            self._stop()
-        if self._failure is None:
-            outcome, self._results[repeat] = self._results[repeat], None
-            # after re-asks, "missing" means finally unresolved, not per-parse gaps
-            outcome.diagnostics.missing_index = len(self.items) - len(outcome.resolved)
-            # each batch sends one request and at most one re-ask
-            outcome.n_reasks = outcome.n_requests - len(self.batches)
-            return outcome
-        self._stop()
-        total = len(self.batches) * len(self._left)
-        raise ClassificationAborted(
-            self._failure, total - sum(self._left), total
-        ) from self._failure
+        if self._stopping.is_set():  # a batch has failed: wait for those in flight
+            self._executor.shutdown(wait=True, cancel_futures=True)
+            # a finished repeat's futures are dropped: all its batches were done
+            done = len(self.batches) * self._futures.count(None)
+            started = [f for fs in self._futures if fs for f in fs if not f.cancelled()]
+            done += sum(f.exception() is None and f.result() is not None for f in started)
+            failure = next(f.exception() for f in started if f.exception() is not None)
+            total = len(self.batches) * len(self._futures)
+            raise ClassificationAborted(failure, done, total) from failure
+        outcome = LlmClassification(tuple(i for i, _ in self.items))
+        for future in futures:
+            parsed, n_requests = future.result()
+            outcome.resolved.update(parsed.resolved)
+            outcome.diagnostics.merge(parsed.diagnostics)
+            outcome.n_requests += n_requests
+        self._futures[repeat] = None
+        # after re-asks, "missing" means finally unresolved, not per-parse gaps
+        outcome.diagnostics.missing_index = len(self.items) - len(outcome.resolved)
+        # each batch sends one request and at most one re-ask
+        outcome.n_reasks = outcome.n_requests - len(self.batches)
+        return outcome
 
 
 def classify_corpus(pool: ClassificationPool, repeat: int) -> LlmClassification:

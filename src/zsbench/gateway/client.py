@@ -51,7 +51,6 @@ class AuthenticationError(ProviderError):
 class RetriesExhaustedError(GatewayError):
     def __init__(self, attempts: int, last: Exception):
         super().__init__(f"provider failed after {attempts} attempts: {last}")
-        self.attempts = attempts
         self.last = last
 
 

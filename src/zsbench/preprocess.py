@@ -1,13 +1,15 @@
 """Text cleaning and tokenization ahead of feature extraction.
 
-Cleaning applies removal rules in a fixed order (URLs, HTML tags, mentions,
-hashtags, digits, punctuation), each replacing the matched span with a
-space, then lowercases and splits on whitespace; a rule whose pattern
+Cleaning lowercases, then applies removal rules in a fixed order (URLs,
+HTML tags, mentions, hashtags, digits, punctuation), each replacing the
+matched span with a space, then splits on whitespace; a rule whose pattern
 cannot match the text is skipped, and the one-character digit and
 punctuation rules run as one `str.translate` pass. Replacing instead of
 deleting keeps the pipeline idempotent: a later rule can never splice two
-fragments into a match for an earlier one. The text sent to an LLM is the
-same tokens joined by single spaces.
+fragments into a match for an earlier one. Lowercasing first keeps it so
+for a character whose lowercase gains a combining mark, as U+0130 does:
+the rules see the mark in the first pass, not in the second. The text sent
+to an LLM is the same tokens joined by single spaces.
 """
 
 from __future__ import annotations
@@ -75,18 +77,17 @@ _RULE_TABLES = {(True, False): _RuleTable(_DIGIT_RE), (False, True): _RuleTable(
 
 
 def _remove(text: str, policy: CleaningPolicy) -> str:
-    """Apply the policy's removal rules in fixed order, each match becoming a space.
+    """Apply the policy's removal rules in fixed order to lowercased text,
+    each match becoming a space.
 
     A rule runs only when the text holds what its pattern needs: a URL match
-    leaves `http`, `www.` or `t.co/` in the lowercased text (the only
-    character outside those letters' own case pairs that IGNORECASE lets
-    match one of them is U+017F, and it matches the optional `s`), a tag
-    needs `<`, a mention `@` and a hashtag `#`.
+    needs `http`, `www.` or `t.co/` (the only character outside those
+    letters' own case pairs that IGNORECASE lets match one of them is
+    U+017F, and it matches the optional `s`), a tag needs `<`, a mention `@`
+    and a hashtag `#`.
     """
-    if policy.remove_urls:
-        lowered = text.lower()
-        if "http" in lowered or "www." in lowered or "t.co/" in lowered:
-            text = _URL_RE.sub(" ", text)
+    if policy.remove_urls and ("http" in text or "www." in text or "t.co/" in text):
+        text = _URL_RE.sub(" ", text)
     if policy.remove_html_tags and "<" in text:
         # removing an inner tag can expose an outer one, as in "<<b>>"
         while (stripped := _HTML_TAG_RE.sub(" ", text)) != text:
@@ -118,7 +119,7 @@ def preprocess_corpus(texts: list[str], policy: CleaningPolicy) -> list[list[str
     stems = _Stems()
     corpus = []
     for text in texts:
-        tokens = _remove(text, policy).lower().split()
+        tokens = _remove(text.lower(), policy).split()
         if policy.remove_stopwords:
             tokens = [t for t in tokens if t not in STOPWORDS]
         if policy.apply_stemming:

@@ -1,9 +1,9 @@
 """Reference cleaning and token path, kept as an oracle for `zsbench.preprocess`.
 
 This is the cleaning as it was before each removal rule was guarded by a
-substring test and the token path split the rule output directly: every
-enabled rule runs on every text, whitespace is collapsed by a regex pass,
-and the tokens are split from that collapsed, lowercased string. Stems come
+substring test and the token path split the rule output directly: the text
+is lowercased, every enabled rule runs on it, whitespace is collapsed by a
+regex pass, and the tokens are split from that collapsed string. Stems come
 from the reference stemmer in porter_oracle.py. Both must agree on every
 string and every policy.
 """
@@ -25,6 +25,7 @@ _WS_RE = re.compile(r"\s+")
 
 
 def clean_text(text: str, policy) -> str:
+    text = text.lower()
     if policy.remove_urls:
         text = _URL_RE.sub(" ", text)
     if policy.remove_html_tags:
@@ -38,7 +39,7 @@ def clean_text(text: str, policy) -> str:
         text = _DIGIT_RE.sub(" ", text)
     if policy.remove_punctuation:
         text = _PUNCT_RE.sub(" ", text)
-    return _WS_RE.sub(" ", text).strip().lower()
+    return _WS_RE.sub(" ", text).strip()
 
 
 def normalize_tokens(text: str, policy) -> list[str]:

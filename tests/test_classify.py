@@ -236,11 +236,11 @@ class TestReAskAndFallback:
         started = []
 
         class InterruptedExecutor(gateway_classify.ThreadPoolExecutor):
-            def submit(self, fn):
+            def submit(self, fn, *args):
                 if started:
                     raise KeyboardInterrupt
                 started.append(fn)
-                return super().submit(fn)
+                return super().submit(fn, *args)
 
         rules = KeywordRuleProvider(ecommerce_schema, FIXTURE_RULES, FIXTURE_DEFAULT_LABEL)
         calls = []
@@ -472,7 +472,7 @@ class TestEntryPool:
         assert calls[0] - calls_at_stop[0] <= concurrency - 1
 
     def test_failure_skips_the_re_ask_of_a_batch_in_flight(self, ecommerce_schema):
-        stopped = threading.Event()
+        stopped, batch_0_sent = threading.Event(), threading.Event()
         calls = []
 
         class StopSignallingEvent(threading.Event):
@@ -481,13 +481,16 @@ class TestEntryPool:
                 stopped.set()
 
         class Provider:
-            """Rejects batch 1; answers batch 0 with nothing once the pool stops."""
+            """Rejects batch 1 once batch 0 is in flight; answers batch 0 with
+            nothing once the pool stops."""
 
             def complete(self, body):
                 prompt = body["messages"][1]["content"]
                 calls.append(prompt)
                 if prompt.startswith("1. "):
+                    assert batch_0_sent.wait(timeout=10)
                     raise AuthenticationError("bad key")
+                batch_0_sent.set()
                 assert stopped.wait(timeout=10)
                 return "{}", {}
 
@@ -499,3 +502,37 @@ class TestEntryPool:
             with pool:
                 classify_corpus(pool, 0)
         assert sorted(calls) == ["0. usb hub", "1. a novel"]
+
+    @pytest.mark.parametrize("leave_by", [ClassificationAborted, KeyboardInterrupt])
+    def test_no_worker_outlives_the_pool(self, ecommerce_schema, sigint_raises, leave_by):
+        # `_run_llm_variant` closes the provider as soon as the pool is left
+        rules = KeywordRuleProvider(ecommerce_schema, FIXTURE_RULES, FIXTURE_DEFAULT_LABEL)
+        lock = threading.Lock()
+        calls = [0]
+
+        class Provider:
+            """Its 6th call, once the pool is waiting for repeat 0, fails or
+            raises Ctrl-C in the main thread."""
+
+            def complete(self, body):
+                with lock:
+                    calls[0] += 1
+                    last = calls[0] == 6
+                if last and leave_by is ClassificationAborted:
+                    raise AuthenticationError("bad key")
+                if last:
+                    _thread.interrupt_main()
+                time.sleep(0.01)
+                return rules.complete(body)
+
+        docs = make_docs([f"usb item {i}" for i in range(40)])
+        config = LlmRunConfig(model="m", batch_size=1, concurrency=4, repeat_count=2, **FAST)
+        before = set(threading.enumerate())
+        with pytest.raises(leave_by):
+            with ClassificationPool(docs, ecommerce_schema, ECOMMERCE_TASK, config, Provider()) as pool:
+                for repeat in range(config.repeat_count):
+                    classify_corpus(pool, repeat)
+        calls_at_exit = calls[0]
+        assert [t for t in threading.enumerate() if t not in before] == []
+        time.sleep(0.1)
+        assert calls[0] == calls_at_exit

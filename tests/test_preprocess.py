@@ -92,6 +92,7 @@ class TestCleanText:
     @example(text="0T.co/abc", policy=CleaningPolicy.tweet_cleaning())
     @example(text="<<b>>", policy=CleaningPolicy.tweet_cleaning())
     @example(text="a <b the c> d", policy=CleaningPolicy.tweet_cleaning())
+    @example(text="İstanbul", policy=FULL)
     def test_idempotent(self, text, policy):
         once = clean(text, policy)
         assert clean(once, policy) == once
